@@ -14,7 +14,7 @@ equality of classes is literal equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -310,13 +310,8 @@ def _in_image(V: SeifertMatrix, x: Sequence[LaurentPoly]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def module_from_seifert(V: SeifertMatrix) -> AlexanderModule:
-    """Build the rational Alexander module, with cyclic data when square-free.
-
-    For square-free order the module is a cyclic torsion module Q[t,1/t]/(Delta)
-    and a generator is assembled from one basis vector per irreducible factor
-    (Chinese remainder style).
-    """
+def _module_of(V: SeifertMatrix) -> AlexanderModule:
+    """module_from_seifert, cached by matrix content."""
     delta = alexander_polynomial(V)
     dense, _ = delta.to_dense()
     order_poly = poly_monic(dense)
@@ -326,30 +321,44 @@ def module_from_seifert(V: SeifertMatrix) -> AlexanderModule:
     if not square_free:
         return AlexanderModule(V, delta, order_poly, False, (), None)
     factors = tuple(q for q, _ in factor_rational_poly(order_poly))
-    basis = [
-        tuple(LaurentPoly.const(1 if j == i else 0) for j in range(V.size))
-        for i in range(V.size)
-    ]
-    parts = []
-    for q in factors:
-        cofactor = LaurentPoly.from_dense(poly_divmod(order_poly, q)[0])
-        pick = None
-        for e in basis:
-            candidate = tuple(cofactor * c for c in e)
-            if not _in_image(V, candidate):
-                pick = e
-                break
-        if pick is None:
-            raise NotCyclic(f"no basis vector generates the {poly_str(q)}-component")
-        parts.append(pick)
-    gen = tuple(
-        sum((p[i] for p in parts), LaurentPoly.zero()) for i in range(V.size)
+    cofactors = [LaurentPoly.from_dense(poly_divmod(order_poly, q)[0]) for q in factors]
+
+    def generates(x, cofs):
+        """x has a nonzero component on the factor of each cofactor."""
+        return all(not _in_image(V, tuple(cof * c for c in x)) for cof in cofs)
+
+    basis = [tuple(LaurentPoly.const(int(j == i)) for j in range(V.size)) for i in range(V.size)]
+    picks = [next((e for e in basis if generates(e, [cof])), None) for cof in cofactors]
+    if None in picks:
+        q = factors[picks.index(None)]
+        raise NotCyclic(f"no basis vector generates the {poly_str(q)}-component")
+    # Weight the picks by (1, lam, lam^2, ...); lam = 1 is their plain sum.
+    # Constant weights keep the generator constant, which matters because
+    # the pairing reads Laurent entries conjugated.  A factor's component of
+    # the sum is a nonzero linear form in the weights, zero for at most
+    # len(picks) - 1 values of lam: one of the first len(picks)^2 generates.
+    weighted = (
+        tuple(sum((p[i] * lam**j for j, p in enumerate(picks)), LaurentPoly.zero())
+              for i in range(V.size))
+        for lam in range(1, len(picks) ** 2 + 1)
     )
-    # sanity: one generator per component implies the sum generates everything
-    for q in factors:
-        cofactor = LaurentPoly.from_dense(poly_divmod(order_poly, q)[0])
-        assert not _in_image(V, tuple(cofactor * c for c in gen))
+    gen = next(g for g in weighted if generates(g, cofactors))
     return AlexanderModule(V, delta, order_poly, True, factors, gen)
+
+
+def module_from_seifert(V: SeifertMatrix) -> AlexanderModule:
+    """Build the rational Alexander module, with cyclic data when square-free.
+
+    For square-free order the module is a cyclic torsion module Q[t,1/t]/(Delta)
+    and a constant generator is assembled from one basis vector per
+    irreducible factor (Chinese remainder style).  Built once per matrix
+    content; the returned module carries the caller's matrix and name.
+    """
+    m = _module_of(V)
+    return m if m.seifert is V else replace(m, seifert=V)
+
+
+module_from_seifert.cache_info = _module_of.cache_info
 
 
 def cyclic_generator(module_or_matrix) -> tuple:

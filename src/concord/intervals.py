@@ -1,7 +1,12 @@
 """Certified rational interval arithmetic and enclosures of the handful of
 transcendental values the signature integrals need: sqrt, arctan, arccos
-and pi.  Everything is exact Fraction arithmetic; an enclosure [lo, hi]
-always contains the true real value.
+and pi.  An enclosure [lo, hi] always contains the true real value.
+
+arctan, arccos and pi come from one fixed-point kernel (Brent, JACM 23,
+1976): integers at scale 2^W, each rounding a floor and counted, in ulps
+2^-W, in an explicit error bound.  The arctan series runs on an argument
+halved below 2^-r, r about sqrt(bits) / 3, for a term count read off bit
+lengths; only the final interval is built from Fractions.
 """
 
 from __future__ import annotations
@@ -9,22 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .rings import rat
 
 RationalLike = Union[Fraction, int, str]
-
-
-def round_down(q: Fraction, bits: int) -> Fraction:
-    """Largest dyadic with denominator 2^bits that is <= q."""
-    scale = 1 << bits
-    return Fraction(math.floor(q * scale), scale)
-
-
-def round_up(q: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(math.ceil(q * scale), scale)
 
 
 @dataclass(frozen=True)
@@ -114,10 +109,6 @@ class RatInterval:
             return -self
         return RatInterval(Fraction(0), max(-self.lo, self.hi))
 
-    def rounded(self, bits: int) -> "RatInterval":
-        """Outward dyadic rounding: keeps the enclosure valid, caps bit growth."""
-        return RatInterval(round_down(self.lo, bits), round_up(self.hi, bits))
-
     def __str__(self):
         if self.is_point:
             return str(self.lo)
@@ -158,68 +149,51 @@ def sqrt_interval(q: RationalLike, bits: int = 64) -> RatInterval:
     return RatInterval(lo, hi)
 
 
-def _atan_series(u: RatInterval, bits: int) -> RatInterval:
-    """Alternating Taylor series for arctan on [0, 3/4] with a tail bound."""
-    terms = 0
-    tail_num = u.hi ** 3
-    # need u.hi^(2K+3)/(2K+3) <= 2^-(bits+2)
-    bound = Fraction(1, 1 << (bits + 2))
-    k = 0
-    while tail_num / (2 * k + 3) > bound:
-        k += 1
-        tail_num *= u.hi * u.hi
-    terms = k + 1
+def _atan_sqrt(q: Fraction, bits: int) -> RatInterval:
+    """Enclosure of arctan(sqrt(q)) for rational q >= 0, at most 2^-bits wide.
 
-    def partial(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        p = x
-        s = 1
-        for j in range(terms):
-            acc += s * p / (2 * j + 1)
-            p *= x * x
-            s = -s
-        return acc
-
-    tail = tail_num / (2 * terms + 1)
-    return RatInterval(partial(u.lo) - tail, partial(u.hi) + tail)
+    Values are integer counts of ulps 2^-W.  arctan and the halving map are
+    1-Lipschitz, so an ulp of error in u is at most an ulp in arctan(u)."""
+    if q == 0:
+        return RatInterval.point(0)
+    reduce = max(1, math.isqrt(bits) // 3)  # halve until u < 2^-reduce
+    W = bits + reduce + bits.bit_length() + 8
+    one = 1 << W
+    # isqrt(floor(q 4^W)) is within 2 ulps of sqrt(q)
+    u, halvings = math.isqrt((q.numerator << 2 * W) // q.denominator), 0
+    while u.bit_length() > W - reduce:
+        # arctan(u) = 2 arctan(u / (1 + sqrt(1 + u^2))); the map is 1-Lipschitz
+        # and its two floors leave the new u within 1 ulp of the map's value
+        u = (u << W) // (one + math.isqrt(one * one + u * u))
+        halvings += 1
+    # u < 2^-r with r = W - u.bit_length(), so the first omitted term
+    # u^(2n+1)/(2n+1) is below one ulp
+    n = W // (2 * (W - u.bit_length())) + 1
+    # the floored powers p stay within 2 ulps of u^(2k+1), so each floored
+    # term is within 3 ulps; add the tail, and 2 + halvings ulps for u
+    err = 3 * n + 1 + 2 + halvings
+    x2 = u * u >> W
+    acc, p = 0, u
+    for k in range(n):
+        acc += -(p // (2 * k + 1)) if k & 1 else p // (2 * k + 1)
+        p = p * x2 >> W
+    lo, hi = (acc - err) << halvings, (acc + err) << halvings
+    return RatInterval(Fraction(lo, one), Fraction(hi, one))
 
 
 def atan_interval(y, bits: int = 64) -> RatInterval:
-    """Enclosure of arctan(y) for a rational or interval argument y >= 0 allowed
-    to be any sign; width shrinks like 2^-bits."""
+    """Enclosure of arctan(y) for a rational or interval argument y of any
+    sign; width shrinks like 2^-bits."""
     y = RatInterval.of(y)
-    if y.hi < 0:
-        return -atan_interval(-y, bits)
-    if y.lo < 0:
-        neg = atan_interval(RatInterval(0, -y.lo), bits)
-        pos = atan_interval(RatInterval(0, y.hi), bits)
-        return RatInterval(-neg.hi, pos.hi)
-    work = bits + 8
-    halvings = 0
-    u = y
-    while u.hi > Fraction(1, 2):
-        # arctan(y) = 2 arctan(y / (1 + sqrt(1 + y^2)))
-        s_lo = sqrt_interval(1 + u.lo * u.lo, work)
-        s_hi = sqrt_interval(1 + u.hi * u.hi, work)
-        u = RatInterval(u.lo / (1 + s_lo.hi), u.hi / (1 + s_hi.lo)).rounded(work)
-        halvings += 1
-        if halvings > 64:
-            raise RuntimeError("arctan halving failed to converge")
-    series = _atan_series(u, bits + halvings)
-    out = RatInterval(series.lo * (1 << halvings), series.hi * (1 << halvings))
-    return out.rounded(bits + 4)
+    end = {v: _atan_sqrt(v * v, bits) * (1 if v >= 0 else -1) for v in {y.lo, y.hi}}
+    return RatInterval(end[y.lo].lo, end[y.hi].hi)
 
 
-_PI_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def pi_interval(bits: int = 64) -> RatInterval:
     """Machin's formula: pi = 16 arctan(1/5) - 4 arctan(1/239)."""
-    if bits not in _PI_CACHE:
-        a = atan_interval(Fraction(1, 5), bits + 8)
-        b = atan_interval(Fraction(1, 239), bits + 8)
-        _PI_CACHE[bits] = (16 * a - 4 * b).rounded(bits + 2)
-    return _PI_CACHE[bits]
+    a = _atan_sqrt(Fraction(1, 5**2), bits + 5)
+    return 16 * a - 4 * _atan_sqrt(Fraction(1, 239**2), bits + 3)
 
 
 def acos_interval(x: RationalLike, bits: int = 64) -> RatInterval:
@@ -235,6 +209,4 @@ def acos_interval(x: RationalLike, bits: int = 64) -> RatInterval:
         return RatInterval.point(0)
     if x == -1:
         return pi_interval(bits)
-    y = sqrt_interval((1 - x) / (1 + x), bits + 8)
-    a = atan_interval(y, bits + 2)
-    return RatInterval(2 * a.lo, 2 * a.hi).rounded(bits)
+    return 2 * _atan_sqrt((1 - x) / (1 + x), bits + 1)

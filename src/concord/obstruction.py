@@ -705,11 +705,18 @@ def independence_check(ledgers: Sequence[RhoLedger], target: RhoLedger):
 # Certificate replay
 
 
+def _numbered(pairs, prefix, count):
+    """The values of the lines `prefix 1` ... `prefix count`, which must be
+    all the lines whose key starts with `prefix`, in order."""
+    lines = [(key, value) for key, value in pairs if key.startswith(prefix + " ")]
+    if [key for key, _ in lines] != [f"{prefix} {i}" for i in range(1, count + 1)]:
+        raise ValueError(f"the {prefix} lines do not number 1 to {count}")
+    return [value for _, value in lines]
+
+
 def _replay_fos(pairs) -> str:
     classes = []
-    for key, value in pairs:
-        if not key.startswith("entry "):
-            continue
+    for value in _numbered(pairs, "entry", int(dict(pairs)["entries"])):
         fields = dict(f.partition("=")[::2] for f in value.split("; "))
         cls = fields["class"]
         if cls == "zero":
@@ -753,6 +760,9 @@ def _replay_main3(pairs) -> str:
     facts = dict(pairs)
     n = int(facts["levels"])
     m = int(facts["max sites"])
+    if facts["arf(seed)"] != "0":
+        raise ValueError("the tower needs a seed with Arf invariant 0")
+    _numbered(pairs, "template", n)
     if facts["C'"] == "unassigned":
         return CONDITIONAL
     c = Fraction(facts["C'"])

@@ -33,6 +33,8 @@ from .rings import (
 
 #: default half-width guarantee for certified rho0 intervals
 DEFAULT_TOL = Fraction(1, 10**9)
+#: precision rho0 adds to its estimate of the least bits that can meet tol
+RHO0_GUARD_BITS = 6
 
 
 class AtOne(ValueError):
@@ -339,7 +341,11 @@ def rho0(V: SeifertMatrix, tol=DEFAULT_TOL) -> Rho0Result:
         v_m + (1/pi) * sum_j (v_{j-1} - v_j) * theta_j.
     Exact when the profile is constant; otherwise a certified interval of
     half-width at most tol, computed from arccos enclosures of the jump
-    cosines.
+    cosines refined to width 2^-bits, which lands between half and all of
+    that width: at arccos slope 1 the half-width is at least S 2^-bits /
+    (4 pi), S = sum |v_{j-1} - v_j|.  So bits is picked once, as the least
+    with 2^bits > S / (12 tol) plus RHO0_GUARD_BITS for the steeper arccos
+    near +-1, and doubles only if that pass misses tol.
     """
     tol = rat(tol)
     if tol <= 0:
@@ -352,7 +358,8 @@ def rho0(V: SeifertMatrix, tol=DEFAULT_TOL) -> Rho0Result:
     base = Fraction(prof.value_at_minus_one)
     if not active:
         return Rho0Result(value=base, error_bound=Fraction(0), profile=prof)
-    bits = 64
+    spread = sum(abs(c) for c, _ in active)
+    bits = (spread * tol.denominator // (12 * tol.numerator)).bit_length() + RHO0_GUARD_BITS
     while True:
         width_target = Fraction(1, 1 << bits)
         total = RatInterval.point(0)

@@ -1,12 +1,15 @@
 """Independent oracles used to cross-check the exact-arithmetic code.
 
 Every function here deliberately avoids the `concord` package: floating point
-plus numpy for the analytic quantities, sympy for the one symbolic inversion.
-Expected values frozen into the test modules were produced by these routines.
+plus numpy for the analytic quantities, sympy for the one symbolic inversion,
+and Fraction-only enclosures of arctan and arccos as the reference for the
+fixed-point interval kernel.  Expected values frozen into the test modules
+were produced by these routines.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -134,3 +137,81 @@ def blanchfield_reduced(V, x, y):
         to_frac(sympy.Poly([c / lc for c in r.all_coeffs()], t)),
         to_frac(sympy.Poly([c / lc for c in den0.all_coeffs()], t)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference arctan / arccos enclosures in exact Fraction arithmetic: Taylor
+# series with a tail bound after argument halving.  Intervals are (lo, hi)
+# pairs of Fractions.  Slow (the powers of the argument grow without
+# rounding), so keep `bits` modest.
+
+
+def _floor_to(q, bits):
+    return Fraction(math.floor(q * (1 << bits)), 1 << bits)
+
+
+def _ceil_to(q, bits):
+    return Fraction(math.ceil(q * (1 << bits)), 1 << bits)
+
+
+def _sqrt_enclosure(q, bits):
+    """(lo, hi) around sqrt(q), 2^-bits wide, for rational q > 0."""
+    num, den = q.numerator, q.denominator
+    big = num * den << (2 * bits)
+    r = math.isqrt(big)
+    scale = den << bits
+    return Fraction(r, scale), (Fraction(r + 1, scale) if r * r != big else Fraction(r, scale))
+
+
+def _atan_series_fraction(lo, hi, bits):
+    """Alternating Taylor series for arctan on [0, 3/4] with a tail bound."""
+    tail_num = hi ** 3
+    # need hi^(2K+3)/(2K+3) <= 2^-(bits+2)
+    bound = Fraction(1, 1 << (bits + 2))
+    k = 0
+    while tail_num / (2 * k + 3) > bound:
+        k += 1
+        tail_num *= hi * hi
+    terms = k + 1
+
+    def partial(x):
+        acc, p, s = Fraction(0), x, 1
+        for j in range(terms):
+            acc += s * p / (2 * j + 1)
+            p *= x * x
+            s = -s
+        return acc
+
+    tail = tail_num / (2 * terms + 1)
+    return partial(lo) - tail, partial(hi) + tail
+
+
+def atan_enclosure_fraction(lo, hi, bits):
+    """Enclosure (lo, hi) of arctan over the rational interval [lo, hi]."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if hi < 0:
+        a, b = atan_enclosure_fraction(-hi, -lo, bits)
+        return -b, -a
+    if lo < 0:
+        return -atan_enclosure_fraction(0, -lo, bits)[1], atan_enclosure_fraction(0, hi, bits)[1]
+    work = bits + 8
+    halvings = 0
+    while hi > Fraction(1, 2):
+        # arctan(y) = 2 arctan(y / (1 + sqrt(1 + y^2)))
+        s_lo = _sqrt_enclosure(1 + lo * lo, work)
+        s_hi = _sqrt_enclosure(1 + hi * hi, work)
+        lo = _floor_to(lo / (1 + s_lo[1]), work)
+        hi = _ceil_to(hi / (1 + s_hi[0]), work)
+        halvings += 1
+    a, b = _atan_series_fraction(lo, hi, bits + halvings)
+    return _floor_to(a * (1 << halvings), bits + 4), _ceil_to(b * (1 << halvings), bits + 4)
+
+
+def acos_enclosure_fraction(x, bits):
+    """Enclosure (lo, hi) of arccos(x) for rational x in (-1, 1]."""
+    x = Fraction(x)
+    if x == 1:
+        return Fraction(0), Fraction(0)
+    y = _sqrt_enclosure((1 - x) / (1 + x), bits + 8)
+    a, b = atan_enclosure_fraction(y[0], y[1], bits + 2)
+    return _floor_to(2 * a, bits), _ceil_to(2 * b, bits)

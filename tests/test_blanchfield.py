@@ -20,7 +20,7 @@ from concord.blanchfield import (
     submodule_spanned_by,
 )
 from concord.rings import LaurentPoly, poly_str
-from concord.seifert import FIGURE_EIGHT, K9_46, TREFOIL, UNKNOT, connected_sum
+from concord.seifert import FIGURE_EIGHT, K9_46, TREFOIL, UNKNOT, SeifertMatrix, connected_sum
 
 from oracles import blanchfield_reduced
 
@@ -48,6 +48,39 @@ def test_module_trefoil_and_figure_eight():
     assert m8.square_free and len(m8.factors) == 1
     mu = module_from_seifert(UNKNOT)
     assert mu.is_trivial and mu.rank == 0
+
+
+def test_module_generator_when_summed_picks_cancel_a_component():
+    # order -6t^2 + 13t - 6 splits into t - 2/3 and t - 3/2; e1 has no
+    # component on t - 2/3, so that factor picks e2, and e1 + e2 has none on
+    # t - 3/2, so the plain sum of the picks generates one component only
+    import sympy
+
+    V = SeifertMatrix(((5, 3), (2, 0)))
+    m = module_from_seifert(V)
+    assert [poly_str(f) for f in m.factors] == ["t - 3/2", "t - 2/3"]
+    # g generates the cyclic module iff Bl(g, g) has the whole order as its
+    # denominator (the form is nonsingular and the order symmetric)
+    t = sympy.Symbol("t")
+    g = [sum(sympy.Rational(c.numerator, c.denominator) * t ** k for k, c in x.coeffs.items())
+         for x in m.generator]
+    _, den = blanchfield_reduced(V.entries, g, g)
+    assert den == (Fraction(1), Fraction(-13, 6), Fraction(1))
+    # the two factors are conjugate, so their submodules are the metabolizers
+    assert [str(P) for P in submodule_lattice(m) if is_metabolizer(m, P)] == [
+        "S[t - 3/2]", "S[t - 2/3]"]
+
+
+def test_module_carries_the_callers_name():
+    module_from_seifert(TREFOIL)
+    built = module_from_seifert.cache_info().misses
+    half = SeifertMatrix(TREFOIL.entries, name="granny_half")
+    m = module_from_seifert(half)
+    assert m.seifert is half
+    assert str(m) == "AlexanderModule(granny_half, order=t - 1 + t^-1, cyclic)"
+    assert str(module_from_seifert(TREFOIL)).startswith("AlexanderModule(trefoil, ")
+    assert module_from_seifert(half) == module_from_seifert(TREFOIL)
+    assert module_from_seifert.cache_info().misses == built  # one build per content
 
 
 def test_module_non_square_free_is_flagged_not_fatal():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from concord.intervals import (
@@ -15,6 +16,9 @@ from concord.intervals import (
     simplest_rational,
     sqrt_interval,
 )
+from concord.seifert import K9_46, TREFOIL, SeifertMatrix, connected_sum, mirror, rho0
+
+from oracles import acos_enclosure_fraction, atan_enclosure_fraction
 
 
 def test_interval_basics():
@@ -140,3 +144,96 @@ def test_simplest_rational_is_simplest():
             n_lo = math.ceil(lo * d)
             n_hi = math.floor(hi * d)
             assert n_lo > n_hi, (lo, hi, q, d)
+
+
+# ---------------------------------------------------------------------------
+# Correctness gate for the fixed-point kernel: mpmath values (oracle only)
+# and the Fraction-series reference enclosures from tests/oracles.py
+
+SWEEP_BITS = (16, 64, 256, 1024)
+SWEEP_SIZE = 2500  # rationals per function, each at every precision
+# The reference runs at 16 bits only: its unrounded powers make it cost
+# about a second per call at 256 bits.  Enclosures of one value overlap
+# whatever their widths, so the check still applies at every precision.
+REFERENCE_BITS = 16
+
+
+def _exact(v) -> Fraction:
+    """An mpmath binary float as the exact rational it is."""
+    man, exp = v.man_exp  # man_exp drops the sign
+    return (-1 if v < 0 else 1) * Fraction(int(man)) * Fraction(2) ** int(exp)
+
+
+def _sweep(rng, draw, fn, ref, oracle):
+    for _ in range(SWEEP_SIZE):
+        x = draw(rng)
+        ref_lo, ref_hi = ref(x)
+        for bits in SWEEP_BITS:
+            iv = fn(x, bits)
+            with mpmath.workprec(bits + 64):
+                true = _exact(oracle(mpmath.mpf(x.numerator) / x.denominator))
+            assert iv.contains(true), (x, bits)
+            assert iv.lo <= ref_hi and ref_lo <= iv.hi, (x, bits)
+            assert iv.width <= Fraction(1, 2 ** bits), (x, bits)
+
+
+def test_atan_sweep_vs_mpmath_and_fraction_reference():
+    def draw(rng):
+        scale = 10 ** rng.randint(0, 6)
+        return Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 10 ** 3)) / scale
+
+    _sweep(random.Random(1976), draw, atan_interval,
+           lambda x: atan_enclosure_fraction(x, x, REFERENCE_BITS), mpmath.atan)
+
+
+def test_acos_sweep_vs_mpmath_and_fraction_reference():
+    def draw(rng):
+        den = 10 ** rng.randint(1, 6)
+        return Fraction(rng.randint(-den + 1, den - 1), den)
+
+    _sweep(random.Random(1998), draw, acos_interval,
+           lambda x: acos_enclosure_fraction(x, REFERENCE_BITS), mpmath.acos)
+
+
+def test_interval_arguments_and_exact_points():
+    for bits in SWEEP_BITS:
+        assert atan_interval(Fraction(0), bits) == RatInterval.point(0)
+        assert acos_interval(Fraction(1), bits) == RatInterval.point(0)
+        assert acos_interval(Fraction(-1), bits) == pi_interval(bits)
+        with mpmath.workprec(bits + 64):
+            assert pi_interval(bits).contains(_exact(+mpmath.pi))
+        # an interval argument is enclosed by its endpoints' enclosures,
+        # also across zero
+        for lo, hi in ((Fraction(-3, 7), Fraction(5, 2)), (Fraction(-9), Fraction(-1, 9))):
+            iv = atan_interval(RatInterval(lo, hi), bits)
+            assert iv.lo == atan_interval(lo, bits).lo
+            assert iv.hi == atan_interval(hi, bits).hi
+        assert atan_interval(Fraction(-2, 3), bits) == -atan_interval(Fraction(2, 3), bits)
+
+
+def test_rho0_mirror_negates_exactly_at_tight_tolerances():
+    for V in (TREFOIL, connected_sum(TREFOIL, K9_46), connected_sum(TREFOIL, mirror(TREFOIL))):
+        for tol in (Fraction(1, 10 ** 30), Fraction(1, 10 ** 100)):
+            r, m = rho0(V, tol).interval(), rho0(mirror(V), tol).interval()
+            assert m.lo == -r.hi and m.hi == -r.lo
+
+
+def test_rho0_trefoil_at_1e_300():
+    tol = Fraction(1, 10 ** 300)
+    r = rho0(TREFOIL, tol)
+    assert r.error_bound <= tol
+    assert r.interval().contains(Fraction(-4, 3))
+
+
+def test_rho0_steep_jump_meets_tol_through_the_fallback():
+    # Delta = n^2 (t - 2 + 1/t) + 1 jumps at cos(theta) = 1 - 1/(2 n^2), where
+    # arccos has slope about n: steeper than the guard bits cover, so the
+    # first pass misses tol and the precision doubles
+    n = 100
+    tol = Fraction(1, 10 ** 30)
+    r = rho0(SeifertMatrix(((n, 1), (0, n))), tol)
+    with mpmath.workprec(256):
+        theta = mpmath.acos(1 - mpmath.mpf(1) / (2 * n * n))
+        true = _exact(2 * (1 - theta / mpmath.pi))
+    assert r.error_bound <= tol
+    assert r.interval().contains(true)

@@ -2,6 +2,7 @@
 infinite-order towers, torsion multiples, independence, and certificate
 replay."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -335,6 +336,45 @@ def test_check_torsion_even_with_inner_tower():
     assert "levels: 2" in v.certificate
     assert "constant: 5" in v.certificate  # (4^2 - 1)/(4 - 1)
     assert verify_certificate(v)
+
+
+def _without(v, *prefixes):
+    return dataclasses.replace(
+        v, certificate=tuple(c for c in v.certificate if not c.startswith(prefixes)))
+
+
+def _edited(v, old, new):
+    return dataclasses.replace(
+        v, certificate=tuple(new if c == old else c for c in v.certificate))
+
+
+def test_replay_rejects_incomplete_fos_certificates():
+    v = check_first_order_signatures(FIG8_TT)
+    assert verify_certificate(v)
+    count = next(c for c in v.certificate if c.startswith("entries: "))
+    n = int(count.split(": ")[1])
+    assert not verify_certificate(_without(v, "entries:"))
+    assert not verify_certificate(_edited(v, count, f"entries: {n + 1}"))
+    assert not verify_certificate(_edited(v, count, f"entries: {n - 1}"))
+    for i in range(1, n + 1):
+        assert not verify_certificate(_without(v, f"entry {i}:"))
+
+
+def test_replay_rejects_incomplete_tower_certificates():
+    main3 = check_doubling_tower([R946_DOUBLING] * 2, UNKNOT, k_rho0=Fraction(4),
+                                 unit_bound=Fraction(1, 5))
+    inner = infect(FIG8_DOUBLING, {"a": J(1, UNKNOT), "b": J(1, UNKNOT)})
+    torsion = check_torsion(inner, 2, k_rho0=Fraction(100), unit_bound=Fraction(1))
+    conditional = check_doubling_tower([R946_DOUBLING] * 2, UNKNOT, k_rho0=Fraction(4))
+    for v in (main3, torsion, conditional):
+        assert verify_certificate(v)
+        assert not verify_certificate(_without(v, "arf(seed):"))
+        assert not verify_certificate(_edited(v, "arf(seed): 0", "arf(seed): 1"))
+        assert not verify_certificate(_without(v, "template "))
+        for i in (1, 2):
+            assert not verify_certificate(_without(v, f"template {i}:"))
+        assert not verify_certificate(_edited(v, "levels: 2", "levels: 1"))
+        assert not verify_certificate(_edited(v, "levels: 2", "levels: 3"))
 
 
 def test_check_torsion_validation():
