@@ -113,11 +113,7 @@ def _effective_tol(args) -> Fraction:
 
 def _num(x) -> dict:
     """Numeric report field with provenance: exact rational or interval."""
-    if isinstance(x, Rho0Result):
-        x = x.value if x.is_exact else x.interval()
-    if isinstance(x, Fraction):
-        return {"provenance": "exact", "value": str(x)}
-    v: RatInterval = x
+    v: RatInterval = x.interval() if isinstance(x, Rho0Result) else x
     if v.is_point:
         return {"provenance": "exact", "value": str(v.lo)}
     return {
@@ -256,12 +252,10 @@ def _cmd_solvable(args, catalog: Catalog, tol: Fraction) -> dict:
     return report
 
 
-def _assigned_seed_rho0(catalog: Catalog, seed, tol: Fraction):
-    """Seed rho0 for tower checks: explicit assignment wins, else computed."""
+def _seed_k(assignment, seed):
+    """The assigned rho0 of a tower seed, or None when it is to be computed."""
     atom = rho0_atom(seed)
-    if atom in catalog.assignment:
-        return catalog.assignment[atom]
-    return seed_rho0(seed, None, tol)
+    return assignment[atom] if atom in assignment else None
 
 
 def _cmd_obstruct(args, catalog: Catalog, tol: Fraction) -> dict:
@@ -274,36 +268,26 @@ def _cmd_obstruct(args, catalog: Catalog, tol: Fraction) -> dict:
     theorem = args.theorem
     if theorem == "fos":
         verdict = check_first_order_signatures(e, assignment, tol)
-    elif theorem == "j2":
+    else:
+        templates, seed = tower_split(e)
+        k = _seed_k(assignment, seed)
+    if theorem == "j2":
         if "D" in constants and RHO1_9_46 not in assignment:
             assignment = Assignment(
                 dict(assignment.items()) | {RHO1_9_46: -2 * constants["D"]}
             )
-        _, seed = tower_split(e)
-        verdict = check_iterated_double(_assigned_seed_rho0(catalog, seed, tol), assignment)
+        verdict = check_iterated_double(seed_rho0(seed, k, tol), assignment)
     elif theorem == "main":
-        _, seed = tower_split(e)
-        k = None
-        if rho0_atom(seed) in assignment:
-            k = assignment[rho0_atom(seed)]
         verdict = check_infinite_order(e, k_rho0=k, bound=constants.get("C"), tol=tol)
     elif theorem == "main3":
-        templates, seed = tower_split(e)
         if not templates:
             raise ValidationError(args.name, "expression is not an infection tower")
-        k = None
-        if rho0_atom(seed) in assignment:
-            k = assignment[rho0_atom(seed)]
         verdict = check_doubling_tower(
             templates, seed, k_rho0=k, unit_bound=constants.get("Cprime"), tol=tol
         )
-    else:
+    elif theorem == "torsion":
         if args.multiple is None:
             raise ValidationError(args.name, "--multiple is required for the torsion theorem")
-        _, seed = tower_split(e)
-        k = None
-        if rho0_atom(seed) in assignment:
-            k = assignment[rho0_atom(seed)]
         verdict = check_torsion(
             e, args.multiple, k_rho0=k, unit_bound=constants.get("Cprime"), tol=tol
         )

@@ -28,7 +28,7 @@ from .blanchfield import (
     submodule_lattice,
 )
 from .intervals import RatInterval
-from .rings import LaurentPoly, Poly, poly_monic, poly_normalize, poly_str, rat
+from .rings import LaurentPoly, Poly, _signed_terms, poly_monic, poly_normalize, poly_str, rat
 from .seifert import (
     DEFAULT_TOL,
     FIGURE_EIGHT,
@@ -212,12 +212,6 @@ class Sum(KnotExpr):
 class Infect(KnotExpr):
     template: Template
     inputs: tuple  # tuple[(site_name, KnotExpr), ...] in template site order
-
-    def input_for(self, site_name: str) -> KnotExpr:
-        for name, e in self.inputs:
-            if name == site_name:
-                return e
-        raise UnknownSite(site_name)
 
     def fingerprint(self) -> str:
         body = ",".join(f"{n}={e.fingerprint()}" for n, e in self.inputs)
@@ -443,23 +437,7 @@ class RhoLedger:
     __rmul__ = __mul__
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for a, c in self.terms:
-            mag = abs(c)
-            body = str(a) if mag == 1 else f"{mag}*{a}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        if self.rational:
-            q = self.rational
-            if not parts:
-                parts.append(str(q))
-            else:
-                parts.append(f"+ {q}" if q > 0 else f"- {abs(q)}")
-        return " ".join(parts)
+        return _signed_terms([(c, str(a)) for a, c in self.terms] + [(self.rational, "")])
 
 
 @dataclass(frozen=True)
@@ -709,6 +687,49 @@ class SolvLevel:
         return str(self.integer)
 
 
+def _fold(root, attr: str, children, value):
+    """Bottom-up fold over an expression DAG from an explicit stack: each
+    distinct node gets its value once, after its children, and keeps it in
+    attribute attr, so shared sub-expressions and later calls reuse it."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if attr in node.__dict__:
+            continue
+        pending = [c for c in children(node) if attr not in c.__dict__]
+        if pending:
+            stack += [node, *pending]
+        else:
+            object.__setattr__(node, attr, value(node))
+    return root.__dict__[attr]
+
+
+def _solv_children(e) -> list:
+    if isinstance(e, Sum):
+        return [e.left, e.right]
+    if isinstance(e, Infect) and e.template.slice_flag:
+        return [expr for _, expr in e.inputs]
+    return []
+
+
+def _arf_level(e) -> SolvLevel:
+    V = _try_seifert(e)
+    return SolvLevel.of(0) if V is not None and arf(V) == 0 else SolvLevel.none()
+
+
+def _solv_value(e) -> SolvLevel:
+    if isinstance(e, Atom):
+        return SolvLevel.slice_level() if e.matrix.slice_hint else _arf_level(e)
+    if isinstance(e, Infect) and not e.template.slice_flag:
+        return _arf_level(e)
+    worst = min((c._solvability for c in _solv_children(e)), key=lambda s: s.rank)
+    if isinstance(e, Sum) or worst.is_slice:
+        return worst
+    if worst.is_none:
+        return _arf_level(e)
+    return SolvLevel.of(worst.integer + 1)
+
+
 def solvability_lower_bound(e) -> SolvLevel:
     """Mechanically certified lower bound for the solvability level.
 
@@ -717,47 +738,26 @@ def solvability_lower_bound(e) -> SolvLevel:
     when every input is slice, otherwise one more than the worst input
     (an infected slice knot is always 0-solvable since its Arf vanishes).
     Infections of non-slice templates fall back to the Arf test."""
-    e = as_expr(e)
-    if isinstance(e, Atom):
-        if e.matrix.slice_hint:
-            return SolvLevel.slice_level()
-        return SolvLevel.of(0) if arf(e.matrix) == 0 else SolvLevel.none()
+    return _fold(as_expr(e), "_solvability", _solv_children, _solv_value)
+
+
+def _mult_children(e) -> list:
     if isinstance(e, Sum):
-        return min(
-            solvability_lower_bound(e.left),
-            solvability_lower_bound(e.right),
-            key=lambda s: s.rank,
-        )
-    assert isinstance(e, Infect)
-    if e.template.slice_flag:
-        levels = [solvability_lower_bound(expr) for _, expr in e.inputs]
-        worst = min(levels, key=lambda s: s.rank)
-        if worst.is_slice:
-            return SolvLevel.slice_level()
-        if worst.is_none:
-            V = _try_seifert(e)
-            if V is not None and arf(V) == 0:
-                return SolvLevel.of(0)
-            return SolvLevel.none()
-        return SolvLevel.of(worst.integer + 1)
-    V = _try_seifert(e)
-    if V is not None and arf(V) == 0:
-        return SolvLevel.of(0)
-    return SolvLevel.none()
+        raise ValueError("multiplicity bound is defined for infection towers, not sums")
+    return [expr for _, expr in e.inputs] if isinstance(e, Infect) else []
+
+
+def _mult_value(e) -> int:
+    if isinstance(e, Atom):
+        return 1
+    return len(e.template.sites) * max(expr._multiplicity for _, expr in e.inputs)
 
 
 def rho0_multiplicity_bound(e) -> int:
     """Bound on how many rho0 terms of the seed can stack up through a tower
     of infections: sites-per-stage multiplied down the tower.  Defined for
     atoms and nested infections (not sums)."""
-    e = as_expr(e)
-    if isinstance(e, Atom):
-        return 1
-    if isinstance(e, Sum):
-        raise ValueError("multiplicity bound is defined for infection towers, not sums")
-    assert isinstance(e, Infect)
-    inner = max(rho0_multiplicity_bound(expr) for _, expr in e.inputs)
-    return len(e.template.sites) * inner
+    return _fold(as_expr(e), "_multiplicity", _mult_children, _mult_value)
 
 
 # ---------------------------------------------------------------------------

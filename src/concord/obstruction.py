@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from .blanchfield import blanchfield_pair
 from .intervals import RatInterval, simplest_rational
-from .rings import rat
+from .rings import eliminate, rat
 from .seifert import (
     DEFAULT_TOL,
     FIGURE_EIGHT,
@@ -194,8 +194,7 @@ def eval_ledger(ledger: RhoLedger, assignment, context, tol) -> "LedgerValue":
                 V = seifert_of(context[atom])
             except SiteNotSeifertDisjoint:
                 continue
-            r = rho0(V, tol)
-            values[atom] = r.value if r.is_exact else r.interval()
+            values[atom] = rho0(V, tol).interval()
     return evaluate(ledger, values)
 
 
@@ -387,8 +386,7 @@ def seed_rho0(seed, k_rho0, tol) -> RatInterval:
             "rho0 of the seed is not computable from its Seifert matrix; "
             "pass k_rho0 explicitly"
         )
-    r = rho0(V, tol)
-    return RatInterval.point(r.value) if r.is_exact else r.interval()
+    return rho0(V, tol).interval()
 
 
 def check_infinite_order(e, k_rho0=None, bound=None, tol=DEFAULT_TOL) -> Verdict:
@@ -651,29 +649,6 @@ def check_torsion(e, multiple, k_rho0=None, unit_bound=None, tol=DEFAULT_TOL) ->
 # Rational independence of ledger families
 
 
-def _rank(rows) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
 def independence_check(ledgers: Sequence[RhoLedger], target: RhoLedger):
     """Rank of the ledger family over Q, and whether some nontrivial rational
     combination of the family equals a nonzero rational multiple of the
@@ -693,11 +668,11 @@ def independence_check(ledgers: Sequence[RhoLedger], target: RhoLedger):
         return [L.coefficient(a) for a in atoms] + [L.rational]
 
     rows = [vec(L) for L in ledgers]
-    rank = _rank(rows)
+    rank = eliminate(rows)[0]
     if target.is_zero:
         bit = rank < len(ledgers)
     else:
-        bit = _rank(rows + [vec(target)]) == rank
+        bit = eliminate(rows + [vec(target)])[0] == rank
     return rank, bit
 
 

@@ -38,6 +38,17 @@ def sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Gaussian rationals
 
@@ -109,14 +120,7 @@ class GaussRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussRational(Fraction(1))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GaussRational(Fraction(1)))
 
     def __str__(self):
         if self.is_real:
@@ -125,11 +129,6 @@ class GaussRational:
             return f"{self.im}*i"
         op = "+" if self.im >= 0 else "-"
         return f"{self.re} {op} {abs(self.im)}*i"
-
-
-GAUSS_ZERO = GaussRational()
-GAUSS_ONE = GaussRational(Fraction(1))
-GAUSS_I = GaussRational(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +183,60 @@ def circle_value(p: CirclePoint) -> GaussRational:
     s = p.s
     d = 1 + s * s
     return GaussRational((1 - s * s) / d, 2 * s / d)
+
+
+# ---------------------------------------------------------------------------
+# Exact linear algebra and rendering shared by every layer
+
+
+def eliminate(rows) -> tuple:
+    """(rank, det) of a rational matrix by forward Gaussian elimination over Q:
+    each pivot row updates a copy of the rows below it in place, only after
+    the pivot column and only for nonzero multipliers.  det is None for a
+    non-square matrix."""
+    m = [list(r) for r in rows]
+    n, cols = len(m), len(m[0]) if m else 0
+    rank, det = 0, Fraction(1)
+    for c in range(cols):
+        p = next((r for r in range(rank, n) if m[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            m[rank], m[p] = m[p], m[rank]
+            det = -det
+        top = m[rank]
+        det *= top[c]
+        inv = Fraction(1) / top[c]
+        for row in m[rank + 1 :]:
+            f = row[c] * inv
+            if f:
+                for k in range(c + 1, cols):
+                    row[k] -= f * top[k]
+        rank += 1
+    if n != cols:
+        return rank, None
+    return rank, det if rank == n else Fraction(0)
+
+
+def _monomial(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _signed_terms(terms) -> str:
+    """'c1*m1 - c2*m2 + ...' from (coefficient, monomial) pairs in order,
+    dropping zero coefficients and unit factors; an empty monomial is the
+    constant term.  Renders "0" when nothing is left."""
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +349,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial")
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, LaurentPoly.const(1))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
@@ -350,22 +396,8 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                tpow = "t" if e == 1 else f"t^{e}"
-                body = tpow if mag == 1 else f"{mag}*{tpow}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        terms = sorted(self.coeffs.items(), reverse=True)
+        return _signed_terms((c, _monomial("t", e)) for e, c in terms)
 
     def __repr__(self):
         return f"LaurentPoly({self})"
@@ -482,24 +514,7 @@ def poly_gcdex(a: Poly, b: Poly):
 
 def poly_str(p: Poly, var: str = "t") -> str:
     """Human-readable descending-degree rendering of a dense polynomial."""
-    if not p:
-        return "0"
-    parts = []
-    for e in range(len(p) - 1, -1, -1):
-        c = p[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        else:
-            pow_ = var if e == 1 else f"{var}^{e}"
-            body = pow_ if mag == 1 else f"{mag}*{pow_}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _signed_terms((p[e], _monomial(var, e)) for e in range(len(p) - 1, -1, -1))
 
 
 def poly_interpolate(points: Sequence[Fraction], values: Sequence[Fraction]) -> Poly:

@@ -21,6 +21,7 @@ from .rings import (
     Poly,
     chebyshev_reduce,
     circle_value,
+    eliminate,
     hermitian_signature,
     poly_interpolate,
     poly_monic,
@@ -45,28 +46,6 @@ class AtRootOfAlexander(ValueError):
     """Levine-Tristram signature requested at a unit root of the Alexander polynomial."""
 
 
-def _det(rows) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if m[r][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
-
-
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Rational Seifert matrix: square, even size, det(V - V^T) = +-1.
@@ -87,7 +66,7 @@ class SeifertMatrix:
             raise ValueError("Seifert matrix must be square")
         if n % 2:
             raise ValueError("Seifert matrix must have even size")
-        d = _det([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
+        _, d = eliminate([[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)])
         if d not in (1, -1):
             raise ValueError(f"det(V - V^T) = {d}, not +-1: not a Seifert pairing")
 
@@ -160,8 +139,9 @@ def _alexander(V: SeifertMatrix) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.const(1)
     pts = [Fraction(k) for k in range(-g, g + 1)]
+    E = V.entries
     vals = [
-        _det([[V.entries[i][j] - t * V.entries[j][i] for j in range(n)] for i in range(n)])
+        eliminate([[E[i][j] - t * E[j][i] for j in range(n)] for i in range(n)])[1]
         for t in pts
     ]
     dense = poly_interpolate(pts, vals)

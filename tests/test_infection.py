@@ -41,6 +41,7 @@ from concord.seifert import (
     SeifertMatrix,
     alexander_polynomial,
     arf,
+    connected_sum,
     rho0,
     signature_profile,
 )
@@ -304,6 +305,20 @@ def test_solv_level_ordering():
     assert SolvLevel.none() < SolvLevel.of(0) < SolvLevel.of(3) < SolvLevel.slice_level()
     assert SolvLevel.of(2).integer == 2
     assert SolvLevel.slice_level().integer is None
+
+
+def test_deep_towers_fold_without_recursion():
+    seed = connected_sum(TREFOIL, TREFOIL)
+    assert arf(seed) == 0
+    J500 = iterate_operator(R946_DOUBLING, 500, seed)
+    assert solvability_lower_bound(J500) == SolvLevel.of(500)
+    assert rho0_multiplicity_bound(J500) == 2**500
+    J5000 = iterate_operator(R946_DOUBLING, 5000, seed)
+    assert solvability_lower_bound(J5000) == SolvLevel.of(5000)
+    assert rho0_multiplicity_bound(J5000) == 2**5000
+    # values kept on the nodes are reused, and a later sum sees them
+    assert str(solvability_lower_bound(J500 + as_expr(TREFOIL))) == "none"
+    assert str(solvability_lower_bound(J500 + as_expr(UNKNOT))) == "500"
 
 
 def test_rho0_multiplicity_bound_frozen():

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from concord.infection import RhoLedger, rho0_atom
 from concord.rings import (
     CirclePoint,
     GaussRational,
@@ -16,6 +18,7 @@ from concord.rings import (
     NotHermitian,
     chebyshev_reduce,
     circle_value,
+    eliminate,
     hermitian_signature,
     poly_divmod,
     poly_eval,
@@ -30,6 +33,8 @@ from concord.rings import (
     separate,
     sturm_isolate,
 )
+
+from concord.seifert import TREFOIL
 
 from oracles import count_roots_on_grid, signature_float
 
@@ -352,3 +357,94 @@ def test_hermitian_signature_congruence_invariance():
                     GaussRational.of(0))
                 for j in range(n)] for i in range(n)]
         assert hermitian_signature(PBP) == hermitian_signature(B)
+
+
+# ---------------------------------------------------------------------------
+# Exact elimination
+
+
+def _sympy_of(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in m])
+
+
+def _fraction_of(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
+def test_eliminate_matches_sympy_random():
+    rng = random.Random(2024)
+    entries = [0, 0, 0, 1, -1, 2, Fraction(-3, 2), Fraction(5, 7)]
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[Fraction(rng.choice(entries)) for _ in range(cols)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            # a dependent row makes the matrix singular
+            i, j = rng.sample(range(rows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i] = [c * x for x in m[j]]
+        before = [list(r) for r in m]
+        rank, det = eliminate(m)
+        assert m == before, "eliminate must not touch its input"
+        S = _sympy_of(m)
+        assert rank == S.rank()
+        if rows == cols:
+            assert det == _fraction_of(S.det())
+        else:
+            assert det is None
+
+
+def test_eliminate_edge_cases():
+    assert eliminate([]) == (0, 1)
+    # zero rows, all-zero matrices and a non-square matrix
+    assert eliminate([[0, 0], [3, 4]]) == (1, 0)
+    assert eliminate([[0, 0, 0]] * 3) == (0, 0)
+    assert eliminate([[1, 2, 3], [2, 4, 6]]) == (1, None)
+    assert eliminate([[1, 2], [3, 4], [5, 6]]) == (2, None)
+    assert eliminate([[0] * 4]) == (0, None)
+    # integer input stays exact; a row swap flips the sign
+    rank, det = eliminate([[0, 1], [1, 0]])
+    assert (rank, det) == (2, -1) and isinstance(det, Fraction)
+    rank, det = eliminate([[2, 1], [1, 1]])
+    assert det == 1 and isinstance(det, Fraction)
+    assert eliminate([[Fraction(1, 3)]]) == (1, Fraction(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Signed-term rendering
+
+
+def test_render_zero_units_and_signs():
+    assert poly_str(()) == "0"
+    assert str(LaurentPoly.zero()) == "0"
+    assert str(RhoLedger()) == "0"
+    assert poly_str(poly_normalize([-1, 0, 1])) == "t^2 - 1"
+    assert poly_str(poly_normalize([1, -1])) == "-t + 1"
+    assert poly_str(poly_normalize([0, -1])) == "-t"
+    assert poly_str(poly_normalize([Fraction(1, 2), -3])) == "-3*t + 1/2"
+    assert poly_str(poly_normalize([-1])) == "-1"
+    assert poly_str(poly_normalize([1, 0, -2]), var="x") == "-2*x^2 + 1"
+    assert poly_str(poly_normalize([0, 1]), var="x") == "x"
+
+
+def test_render_negative_exponents():
+    p = LaurentPoly({-2: -1, -1: Fraction(3, 2), 1: 1})
+    assert str(p) == "t + 3/2*t^-1 - t^-2"
+    assert str(LaurentPoly({-1: -1})) == "-t^-1"
+    assert str(LaurentPoly({-3: Fraction(-2, 5), 0: 4})) == "4 - 2/5*t^-3"
+
+
+def test_render_ledgers():
+    a = rho0_atom(TREFOIL)
+    assert str(RhoLedger.of_rational(Fraction(-5, 3))) == "-5/3"
+    assert str(RhoLedger.of_rational(2)) == "2"
+    assert str(RhoLedger.of_atom(a, -1)) == "-rho0(trefoil)"
+    assert str(RhoLedger.of_atom(a, 2) - Fraction(1, 2)) == "2*rho0(trefoil) - 1/2"
+    assert str(RhoLedger.of_atom(a, Fraction(-1, 3)) + 1) == "-1/3*rho0(trefoil) + 1"
+
+
+def test_render_laurent_agrees_with_poly_str_random():
+    rng = random.Random(77)
+    for _ in range(500):
+        coeffs = [rng.choice([0, 0, 1, -1, 3]) for _ in range(rng.randint(0, 7))]
+        p = poly_normalize([Fraction(c, rng.choice([1, 2])) for c in coeffs])
+        assert str(LaurentPoly.from_dense(p)) == poly_str(p)
