@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .blanchfield import (
     NotSquareFree,
@@ -140,8 +140,13 @@ class Template:
         return module_from_seifert(self.base)
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         body = repr(
             (
+                self.name,
                 self.base.fingerprint(),
                 tuple((s.name, tuple(str(c) for c in s.knot_class), s.seifert_disjoint) for s in self.sites),
                 self.slice_flag,
@@ -165,14 +170,31 @@ class Template:
 # Knot expressions
 
 
+class _Facts(NamedTuple):
+    fingerprint: str
+    display: str
+    hash: int
+
+
 class KnotExpr:
-    """Formal knot expression: Atom, Sum or Infect."""
+    """Formal knot expression: Atom, Sum or Infect.
+
+    Fingerprint, display and hash come from one fold over the expression DAG
+    (_fold): each distinct node computes them once, from its children's, and
+    keeps them on the node object, never in a table keyed by content, so one
+    knot's name cannot show in another knot's output."""
+
+    def _facts_of(self) -> _Facts:
+        return _fold(self, "_facts", _expr_children, lambda e: e._node_facts())
 
     def fingerprint(self) -> str:
-        raise NotImplementedError
+        return self._facts_of().fingerprint
 
     def display(self) -> str:
-        raise NotImplementedError
+        return self._facts_of().display
+
+    def __hash__(self):
+        return self._facts_of().hash
 
     def __add__(self, other):
         return Sum(self, as_expr(other))
@@ -185,11 +207,10 @@ class KnotExpr:
 class Atom(KnotExpr):
     matrix: SeifertMatrix
 
-    def fingerprint(self) -> str:
-        return "atom:" + self.matrix.fingerprint()
-
-    def display(self) -> str:
-        return self.matrix.display_name
+    def _node_facts(self) -> _Facts:
+        V = self.matrix
+        # hash(self) is the dataclass hash of the matrix: atoms have no children
+        return _Facts("atom:" + V.fingerprint(), V.display_name, hash(self))
 
 
 @dataclass(frozen=True, eq=True)
@@ -197,15 +218,19 @@ class Sum(KnotExpr):
     left: KnotExpr
     right: KnotExpr
 
+    __hash__ = KnotExpr.__hash__
+
     def __post_init__(self):
         object.__setattr__(self, "left", as_expr(self.left))
         object.__setattr__(self, "right", as_expr(self.right))
 
-    def fingerprint(self) -> str:
-        return _short_hash(f"sum({self.left.fingerprint()},{self.right.fingerprint()})")
-
-    def display(self) -> str:
-        return f"({self.left.display()} + {self.right.display()})"
+    def _node_facts(self) -> _Facts:
+        a, b = self.left._facts, self.right._facts
+        return _Facts(
+            _short_hash(f"sum({a.fingerprint},{b.fingerprint})"),
+            f"({a.display} + {b.display})",
+            hash((a.hash, b.hash)),
+        )
 
 
 @dataclass(frozen=True, eq=True)
@@ -213,16 +238,16 @@ class Infect(KnotExpr):
     template: Template
     inputs: tuple  # tuple[(site_name, KnotExpr), ...] in template site order
 
-    def fingerprint(self) -> str:
-        body = ",".join(f"{n}={e.fingerprint()}" for n, e in self.inputs)
-        return _short_hash(f"infect({self.template.fingerprint()};{body})")
+    __hash__ = KnotExpr.__hash__
 
-    def display(self) -> str:
-        body = ", ".join(f"{n}={e.display()}" for n, e in self.inputs)
-        s = f"{self.template.name}({body})"
-        if len(s) > 80:
-            return f"{self.template.name}(...)#{self.fingerprint()[:8]}"
-        return s
+    def _node_facts(self) -> _Facts:
+        tpl, facts = self.template, [(n, e._facts) for n, e in self.inputs]
+        body = ",".join(f"{n}={f.fingerprint}" for n, f in facts)
+        fp = _short_hash(f"infect({tpl.fingerprint()};{body})")
+        display = f"{tpl.name}({', '.join(f'{n}={f.display}' for n, f in facts)})"
+        if len(display) > 80:
+            display = f"{tpl.name}(...)#{fp[:8]}"
+        return _Facts(fp, display, hash((tpl, tuple((n, f.hash) for n, f in facts))))
 
 
 def as_expr(x) -> KnotExpr:
@@ -600,9 +625,10 @@ def first_order_signatures(e) -> FirstOrderSignatureSet:
     module = tpl.module
     if not module.square_free:
         raise NotSquareFree(f"order {module.order} is not square-free")
-    contributions = {
-        name: _input_contribution(expr, context) for name, expr in e.inputs
-    }
+    # once per input object (not per equal input: their names may differ)
+    distinct = {id(x): x for _, x in e.inputs}
+    by_id = {i: _input_contribution(x, context) for i, x in distinct.items()}
+    contributions = {name: by_id[id(x)] for name, x in e.inputs}
     entries = []
     for P in _fos_candidates(module):
         if P.divisor in tpl.ribbon_metabolizers:
@@ -741,10 +767,16 @@ def solvability_lower_bound(e) -> SolvLevel:
     return _fold(as_expr(e), "_solvability", _solv_children, _solv_value)
 
 
+def _expr_children(e) -> list:
+    if isinstance(e, Sum):
+        return [e.left, e.right]
+    return [expr for _, expr in e.inputs] if isinstance(e, Infect) else []
+
+
 def _mult_children(e) -> list:
     if isinstance(e, Sum):
         raise ValueError("multiplicity bound is defined for infection towers, not sums")
-    return [expr for _, expr in e.inputs] if isinstance(e, Infect) else []
+    return _expr_children(e)
 
 
 def _mult_value(e) -> int:

@@ -82,13 +82,6 @@ class SeifertMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self) -> "SeifertMatrix":
-        n = self.size
-        return SeifertMatrix(
-            tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
-            name=self.name and f"{self.name}^T",
-        )
-
     def fingerprint(self) -> str:
         """Content hash; independent of the display name."""
         return sha256(repr(self.entries).encode()).hexdigest()[:12]

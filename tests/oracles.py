@@ -2,8 +2,9 @@
 
 Every function here deliberately avoids the `concord` package: floating point
 plus numpy for the analytic quantities, sympy for the one symbolic inversion,
-and Fraction-only enclosures of arctan and arccos as the reference for the
-fixed-point interval kernel.  Expected values frozen into the test modules
+Fraction-only enclosures of arctan and arccos as the reference for the
+fixed-point interval kernel, and tree walks as the reference for expression
+fingerprints and displays.  Expected values frozen into the test modules
 were produced by these routines.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from hashlib import sha256
 
 import numpy as np
 import sympy
@@ -215,3 +217,45 @@ def acos_enclosure_fraction(x, bits):
     y = _sqrt_enclosure((1 - x) / (1 + x), bits + 8)
     a, b = atan_enclosure_fraction(y[0], y[1], bits + 2)
     return _floor_to(2 * a, bits), _ceil_to(2 * b, bits)
+
+
+# ---------------------------------------------------------------------------
+# Expression fingerprints and displays by plain recursion
+
+
+def _sha12(text):
+    return sha256(text.encode()).hexdigest()[:12]
+
+
+def template_fingerprint_tree(tpl):
+    """Content hash of a template, from its fields, recomputed on each call."""
+    sites = tuple(
+        (s.name, tuple(str(c) for c in s.knot_class), s.seifert_disjoint) for s in tpl.sites
+    )
+    body = (tpl.name, _sha12(repr(tpl.base.entries)), sites, tpl.slice_flag,
+            tpl.ribbon_metabolizers, tpl.rho1_known)
+    return _sha12(repr(body))
+
+
+def fingerprint_tree(e):
+    """Fingerprint of an expression (atom, sum or infection, told apart by
+    their fields).  Walks the DAG as a tree: a two-site tower of depth n
+    costs 2^n template hashes."""
+    if hasattr(e, "matrix"):
+        return "atom:" + _sha12(repr(e.matrix.entries))
+    if hasattr(e, "left"):
+        return _sha12(f"sum({fingerprint_tree(e.left)},{fingerprint_tree(e.right)})")
+    body = ",".join(f"{n}={fingerprint_tree(x)}" for n, x in e.inputs)
+    return _sha12(f"infect({template_fingerprint_tree(e.template)};{body})")
+
+
+def display_tree(e):
+    """Display of an expression: an infection longer than 80 characters
+    becomes NAME(...)#<first 8 hex digits of its fingerprint>."""
+    if hasattr(e, "matrix"):
+        return e.matrix.name or f"K[{_sha12(repr(e.matrix.entries))}]"
+    if hasattr(e, "left"):
+        return f"({display_tree(e.left)} + {display_tree(e.right)})"
+    name = e.template.name
+    s = f"{name}({', '.join(f'{n}={display_tree(x)}' for n, x in e.inputs)})"
+    return s if len(s) <= 80 else f"{name}(...)#{fingerprint_tree(e)[:8]}"
