@@ -10,6 +10,12 @@ form a lattice indexed by monic divisors.  The linking form
 is sesquilinear (linear in x, conjugate-linear in y) and Hermitian with
 respect to t -> 1/t.  Values are kept in a canonical reduced form so that
 equality of classes is literal equality.
+
+The pairing is well defined on the cokernel of B^T = -t conj(B), while
+membership (Submodule.contains, submodule_spanned_by, class_in_quotient)
+is taken in the cokernel of B.  Both are computed in Levine's rational
+model of the module, Q^r with t acting by a matrix, built once per matrix
+content from one kernel, rings.charpoly_adj.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .factorq import factor_rational_poly
 from .rings import (
     LaurentPoly,
     Poly,
+    charpoly_adj,
+    mat_mul,
     poly_add,
     poly_degree,
     poly_divmod,
@@ -50,98 +58,6 @@ class NotCyclic(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Rational functions over Q(t), used only inside linear solves
-
-
-@dataclass(frozen=True)
-class _RF:
-    """Reduced fraction num/den in Q(t); den monic, gcd(num, den) = 1."""
-
-    num: Poly
-    den: Poly
-
-    @staticmethod
-    def make(num, den=ONE) -> "_RF":
-        num, den = poly_normalize(num), poly_normalize(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in Q(t)")
-        if not num:
-            return _RF((), ONE)
-        g = poly_gcd(num, den)
-        if poly_degree(g) > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = poly_scale(num, inv), poly_scale(den, inv)
-        return _RF(num, den)
-
-    @staticmethod
-    def from_laurent(lp: LaurentPoly) -> "_RF":
-        if lp.is_zero:
-            return _RF((), ONE)
-        dense, shift = lp.to_dense()
-        if shift >= 0:
-            return _RF.make(poly_mul(dense, _t_power(shift)), ONE)
-        return _RF.make(dense, _t_power(-shift))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __add__(self, o: "_RF") -> "_RF":
-        return _RF.make(
-            poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den)),
-            poly_mul(self.den, o.den),
-        )
-
-    def __neg__(self) -> "_RF":
-        return _RF(poly_scale(self.num, -1), self.den)
-
-    def __sub__(self, o: "_RF") -> "_RF":
-        return self + (-o)
-
-    def __mul__(self, o: "_RF") -> "_RF":
-        return _RF.make(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
-
-    def inverse(self) -> "_RF":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in Q(t)")
-        return _RF.make(self.den, self.num)
-
-    def __truediv__(self, o: "_RF") -> "_RF":
-        return self * o.inverse()
-
-    def is_laurent_unit_denominator(self) -> bool:
-        """True when den is a power of t, i.e. the value lies in Q[t, 1/t]."""
-        return all(c == 0 for c in self.den[:-1])
-
-
-def _t_power(k: int) -> Poly:
-    return tuple([Fraction(0)] * k + [Fraction(1)])
-
-
-def _solve_rf(matrix, rhs):
-    """Solve matrix * z = rhs over Q(t) by Gaussian elimination; None if singular."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for c in range(n):
-        p = next((r for r in range(c, n) if not m[r][c].is_zero), None)
-        if p is None:
-            return None
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-        inv = m[c][c].inverse()
-        m[c] = [e * inv for e in m[c]]
-        for r in range(n):
-            if r != c and not m[r][c].is_zero:
-                f = m[r][c]
-                m[r] = [er - f * ec for er, ec in zip(m[r], m[c])]
-    return [m[r][n] for r in range(n)]
-
-
-# ---------------------------------------------------------------------------
 # Canonical values in Q(t) / Q[t, 1/t]
 
 
@@ -160,37 +76,25 @@ class BlanchfieldValue:
     @staticmethod
     def from_fraction(num, den) -> "BlanchfieldValue":
         """Reduce an arbitrary fraction in Q(t) to the canonical class form."""
-        rf = _RF.make(num, den)
-        if rf.is_zero:
-            return BlanchfieldValue.zero()
-        num, den = rf.num, rf.den
+        num, den = poly_normalize(num), poly_normalize(den)
+        if not den:
+            raise ZeroDivisionError("zero denominator in Q(t)")
         # split den = t^k * den0 with den0(0) != 0; t-powers are Laurent units
-        k = 0
-        while den and den[0] == 0:
-            den = den[1:]
-            k += 1
-        den = poly_normalize(den)
-        if poly_degree(den) == 0:
+        k = next(i for i, c in enumerate(den) if c)
+        den = den[k:]
+        if not num or poly_degree(den) == 0:
             return BlanchfieldValue.zero()
-        if k:
-            # multiply num by (t^{-1} mod den)^k to absorb the unit
-            g, u, _ = poly_gcdex(T, den)
-            assert g == ONE, "t divides a denominator with nonzero constant term"
-            tinv = poly_divmod(u, den)[1]
-            for _ in range(k):
-                num = poly_divmod(poly_mul(num, tinv), den)[1]
+        # multiply num by (t^{-1} mod den)^k to absorb the unit
+        tinv = poly_gcdex(T, den)[1]
+        for _ in range(k):
+            num = poly_divmod(poly_mul(num, tinv), den)[1]
         num = poly_divmod(num, den)[1]
         if not num:
             return BlanchfieldValue.zero()
         g = poly_gcd(num, den)
-        if poly_degree(g) > 0:
-            num = poly_divmod(num, g)[0]
-            den = poly_divmod(den, g)[0]
-        lc = den[-1]
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = poly_scale(num, inv), poly_scale(den, inv)
-        return BlanchfieldValue(num, den)
+        num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+        inv = Fraction(1) / den[-1]
+        return BlanchfieldValue(poly_scale(num, inv), poly_scale(den, inv))
 
     @property
     def is_zero(self) -> bool:
@@ -198,14 +102,9 @@ class BlanchfieldValue:
 
     def conjugate(self) -> "BlanchfieldValue":
         """The class of num(1/t)/den(1/t)."""
-        if self.is_zero:
-            return self
-        dn, dd = poly_degree(self.num), poly_degree(self.den)
-        rev_num = poly_normalize(tuple(reversed(self.num)))
-        rev_den = poly_normalize(tuple(reversed(self.den)))
-        return BlanchfieldValue.from_fraction(
-            poly_mul(rev_num, _t_power(dd - dn)), rev_den
-        )
+        # num(1/t) / den(1/t) = t^deg(den) num(1/t) / reversed(den)
+        num = LaurentPoly.from_dense(self.num).conjugate().shift(poly_degree(self.den))
+        return _laurent_over(num, tuple(reversed(self.den)))
 
     def __add__(self, other: "BlanchfieldValue") -> "BlanchfieldValue":
         return BlanchfieldValue.from_fraction(
@@ -221,11 +120,7 @@ class BlanchfieldValue:
 
     def scaled(self, lp) -> "BlanchfieldValue":
         """Multiply the class by a Laurent polynomial (or rational scalar)."""
-        lp = LaurentPoly.of(lp)
-        if lp.is_zero or self.is_zero:
-            return BlanchfieldValue.zero()
-        rf = _RF.make(self.num, self.den) * _RF.from_laurent(lp)
-        return BlanchfieldValue.from_fraction(rf.num, rf.den)
+        return _laurent_over(LaurentPoly.from_dense(self.num) * LaurentPoly.of(lp), self.den)
 
     def __str__(self):
         if self.is_zero:
@@ -239,8 +134,97 @@ class BlanchfieldValue:
         return f"{num_s} / {den_s}"
 
 
+def _laurent_over(num: LaurentPoly, den: Poly) -> BlanchfieldValue:
+    """The class of num / den for a Laurent numerator."""
+    dense, shift = num.to_dense()
+    zeros = (Fraction(0),) * abs(shift)
+    if shift < 0:
+        return BlanchfieldValue.from_fraction(dense, zeros + den)
+    return BlanchfieldValue.from_fraction(zeros + dense, den)
+
+
 # ---------------------------------------------------------------------------
-# The Alexander module
+# The Alexander module as Q^r with t acting by a matrix
+
+
+def _apply(m, v) -> list:
+    return [sum(a * b for a, b in zip(row, v) if b) for row in m]
+
+
+def _poly_at(p: Poly, n) -> list:
+    """p(N) by Horner."""
+    acc = [[0] * len(n) for _ in n]
+    for c in reversed(p):
+        acc = [[x + c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat_mul(acc, n))]
+    return acc
+
+
+@dataclass(frozen=True)
+class _RationalModel:
+    """The module of V over Q: Q^r with t acting by a matrix (Levine).
+
+    With W = (V^T - V)^{-1} and N = W V^T, B = tV^T - V = (V^T - V)(I + (t-1)N).
+    Write chi_N = x^a (x - 1)^b g with g(0) g(1) != 0.  On the generalized
+    eigenspaces of 0 and 1, I + (t-1)N is a unit over Q[t, 1/t], so the
+    module is the g-part, the image of P = e(N) with e = 1 mod g and
+    e = 0 mod x^a (x - 1)^b.  There I + (t-1)N = N(tI - T) with
+    T = (I - h(N))P, h = x^{-1} mod g, so x(t) = sum t^k x_k lies in the
+    image of B exactly when sum T^k P W x_k = 0, and modulo Laurent vectors
+    B^{-1} = adj(tI - T) h(N) P W / det(tI - T).
+    """
+
+    pw: list  # P W
+    act: list  # T
+    hpw: list  # h(N) P W
+    chi: Poly  # det(xI - T)
+
+    @staticmethod
+    def of(V: SeifertMatrix) -> "_RationalModel":
+        if not V.size:
+            return _RationalModel([], [], [], ONE)
+        v = [[x.numerator if x.denominator == 1 else x for x in row] for row in V.entries]
+        vt = [list(col) for col in zip(*v)]
+        chi, adj = charpoly_adj([[a - b for a, b in zip(*rows)] for rows in zip(vt, v)])
+        # A^{-1} = -adj(-A) / det(-A), and det(-A) = det(V - V^T) = +-1 is its own inverse
+        w = [[-x * int(chi[0]) for x in row] for row in adj[0]]
+        n = mat_mul(w, vt)
+        chi = charpoly_adj(n)[0]
+        g = chi[next(i for i, c in enumerate(chi) if c):]
+        while sum(g) == 0:  # g(1) == 0
+            g = poly_divmod(g, (Fraction(-1), Fraction(1)))[0]
+        # e = u * x^a (x - 1)^b, kept unreduced: modulo g it would be 1
+        f = poly_divmod(chi, g)[0]
+        p = _poly_at(poly_mul(poly_gcdex(f, g)[1], f), n)
+        hp = mat_mul(_poly_at(poly_gcdex(T, g)[1], n), p)
+        act = [[a - b for a, b in zip(*rows)] for rows in zip(p, hp)]
+        return _RationalModel(mat_mul(p, w), act, mat_mul(hp, w), charpoly_adj(act)[0])
+
+    def kills(self, xs) -> bool:
+        """Whether the Laurent vector xs lies in the image of B: Horner in T
+        from the top exponent down (T is invertible on the g-part)."""
+        exps = {e for x in xs for e in x.coeffs}
+        acc = [0] * len(self.act)
+        for e in range(max(exps, default=0), min(exps, default=0) - 1, -1):
+            xe = _apply(self.pw, [x.coeff(e) for x in xs])
+            acc = [a + b for a, b in zip(_apply(self.act, acc), xe)]
+        return not any(acc)
+
+    def pair(self, xs, ys) -> BlanchfieldValue:
+        """(1 - t) x^T B^{-1} conj(y) modulo Laurent polynomials.  The
+        coefficients of adj(tI - T) u come from the Faddeev-LeVerrier
+        recurrence: u at t^(r-1), then u_(k-1) = T u_k + chi_k u."""
+        def terms(vs):
+            return [(e, [v.coeff(e) for v in vs]) for e in sorted({e for v in vs for e in v.coeffs})]
+
+        xt, acc = terms(xs), {}
+        for e, y in terms(ys):
+            u = uk = _apply(self.hpw, y)
+            for k in range(len(u) - 1, -1, -1):
+                for i, x in xt:
+                    acc[i + k - e] = acc.get(i + k - e, 0) + sum(a * b for a, b in zip(x, uk) if a)
+                uk = [a + self.chi[k] * b for a, b in zip(_apply(self.act, uk), u)]
+        num = LaurentPoly(acc) * LaurentPoly({0: 1, 1: -1})
+        return _laurent_over(num, self.chi)
 
 
 @dataclass(frozen=True)
@@ -254,6 +238,7 @@ class AlexanderModule:
     square_free: bool
     factors: tuple  # tuple[Poly, ...]: distinct monic irreducible divisors
     generator: Optional[tuple]  # tuple[LaurentPoly, ...] cyclic generator
+    model: _RationalModel = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -263,32 +248,9 @@ class AlexanderModule:
     def is_trivial(self) -> bool:
         return poly_degree(self.order_poly) == 0
 
-    def presentation(self):
-        """The matrix B(t) = tV^T - V as LaurentPoly entries."""
-        V = self.seifert.entries
-        n = self.seifert.size
-        t = LaurentPoly.t()
-        return tuple(
-            tuple(t * V[j][i] - LaurentPoly.const(V[i][j]) for j in range(n))
-            for i in range(n)
-        )
-
     def __str__(self):
         kind = "cyclic" if self.generator is not None else "non-cyclic-certified"
         return f"AlexanderModule({self.seifert.display_name}, order={self.order}, {kind})"
-
-
-def _presentation_rf(V: SeifertMatrix):
-    n = V.size
-    return [
-        [
-            _RF.make(
-                poly_normalize((-V.entries[i][j], V.entries[j][i]))
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
 
 
 def _vector(module_rank: int, x) -> tuple:
@@ -299,16 +261,6 @@ def _vector(module_rank: int, x) -> tuple:
     return xs
 
 
-def _in_image(V: SeifertMatrix, x: Sequence[LaurentPoly]) -> bool:
-    """Whether x lies in the image of B(t) = tV^T - V over Q[t, 1/t]."""
-    if V.size == 0:
-        return all(e.is_zero for e in x)
-    B = _presentation_rf(V)
-    z = _solve_rf(B, [_RF.from_laurent(e) for e in x])
-    assert z is not None, "presentation matrix is nonsingular over Q(t)"
-    return all(e.is_laurent_unit_denominator() for e in z)
-
-
 @lru_cache(maxsize=None)
 def _module_of(V: SeifertMatrix) -> AlexanderModule:
     """module_from_seifert, cached by matrix content."""
@@ -316,16 +268,17 @@ def _module_of(V: SeifertMatrix) -> AlexanderModule:
     dense, _ = delta.to_dense()
     order_poly = poly_monic(dense)
     square_free = poly_is_squarefree(order_poly)
+    model = _RationalModel.of(V)
     if poly_degree(order_poly) == 0:
-        return AlexanderModule(V, delta, order_poly, True, (), (LaurentPoly.zero(),) * V.size)
+        return AlexanderModule(V, delta, order_poly, True, (), (LaurentPoly.zero(),) * V.size, model)
     if not square_free:
-        return AlexanderModule(V, delta, order_poly, False, (), None)
+        return AlexanderModule(V, delta, order_poly, False, (), None, model)
     factors = tuple(q for q, _ in factor_rational_poly(order_poly))
     cofactors = [LaurentPoly.from_dense(poly_divmod(order_poly, q)[0]) for q in factors]
 
     def generates(x, cofs):
         """x has a nonzero component on the factor of each cofactor."""
-        return all(not _in_image(V, tuple(cof * c for c in x)) for cof in cofs)
+        return all(not model.kills(tuple(cof * c for c in x)) for cof in cofs)
 
     basis = [tuple(LaurentPoly.const(int(j == i)) for j in range(V.size)) for i in range(V.size)]
     picks = [next((e for e in basis if generates(e, [cof])), None) for cof in cofactors]
@@ -343,7 +296,7 @@ def _module_of(V: SeifertMatrix) -> AlexanderModule:
         for lam in range(1, len(picks) ** 2 + 1)
     )
     gen = next(g for g in weighted if generates(g, cofactors))
-    return AlexanderModule(V, delta, order_poly, True, factors, gen)
+    return AlexanderModule(V, delta, order_poly, True, factors, gen, model)
 
 
 def module_from_seifert(V: SeifertMatrix) -> AlexanderModule:
@@ -365,9 +318,7 @@ def cyclic_generator(module_or_matrix) -> tuple:
     """A single module element generating the whole Alexander module."""
     m = _as_module(module_or_matrix)
     if m.generator is None:
-        raise NotSquareFree(
-            f"order {m.order} is not square-free; cyclic structure not computed"
-        )
+        raise NotSquareFree(f"order {m.order} is not square-free; cyclic structure not computed")
     return m.generator
 
 
@@ -387,23 +338,11 @@ def blanchfield_pair(module_or_matrix, x, y) -> BlanchfieldValue:
     """(1 - t) x^T B(t)^{-1} conj(y) in Q(t)/Q[t,1/t], B = tV^T - V.
 
     Linear in x, conjugate-linear in y, Hermitian: pair(y, x) equals the
-    conjugate of pair(x, y); well-defined on the cokernel of B.
+    conjugate of pair(x, y); well-defined on the cokernel of B^T (in both
+    slots), not on the cokernel of B that membership uses.
     """
     m = _as_module(module_or_matrix)
-    V = m.seifert
-    xs = _vector(V.size, x)
-    ys = _vector(V.size, y)
-    if V.size == 0:
-        return BlanchfieldValue.zero()
-    B = _presentation_rf(V)
-    z = _solve_rf(B, [_RF.from_laurent(e.conjugate()) for e in ys])
-    assert z is not None, "presentation matrix is nonsingular over Q(t)"
-    acc = _RF((), ONE)
-    for xe, ze in zip(xs, z):
-        acc = acc + _RF.from_laurent(xe) * ze
-    one_minus_t = _RF.make(poly_normalize((Fraction(1), Fraction(-1))))
-    acc = one_minus_t * acc
-    return BlanchfieldValue.from_fraction(acc.num, acc.den)
+    return m.model.pair(_vector(m.rank, x), _vector(m.rank, y))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +370,7 @@ class Submodule:
     def contains(self, x) -> bool:
         xs = _vector(self.module.rank, x)
         d = LaurentPoly.from_dense(self.divisor)
-        return _in_image(self.module.seifert, tuple(d * e for e in xs))
+        return self.module.model.kills(tuple(d * e for e in xs))
 
     def __str__(self):
         return f"S[{poly_str(self.divisor)}]"
@@ -468,7 +407,7 @@ def submodule_spanned_by(module_or_matrix, vectors) -> Submodule:
         cofactor = LaurentPoly.from_dense(poly_divmod(m.order_poly, q)[0])
         for v in vectors:
             vs = _vector(m.rank, v)
-            if not _in_image(m.seifert, tuple(cofactor * e for e in vs)):
+            if not m.model.kills(tuple(cofactor * e for e in vs)):
                 d = poly_monic(poly_mul(d, q))
                 break
     return _submodule_for_divisor(m, d)

@@ -196,6 +196,23 @@ class KnotExpr:
     def __hash__(self):
         return self._facts_of().hash
 
+    def __eq__(self, other):
+        """Structural equality, as the dataclass fields give it, from an
+        explicit stack: identity, then the stored hash, then the children
+        pairwise, each pair of nodes compared once."""
+        if type(other) is not type(self):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if type(a) is not type(b) or hash(a) != hash(b) or _own_fields(a) != _own_fields(b):
+                return False
+            stack += zip(_expr_children(a), _expr_children(b))
+        return True
+
     def __add__(self, other):
         return Sum(self, as_expr(other))
 
@@ -213,12 +230,10 @@ class Atom(KnotExpr):
         return _Facts("atom:" + V.fingerprint(), V.display_name, hash(self))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Sum(KnotExpr):
     left: KnotExpr
     right: KnotExpr
-
-    __hash__ = KnotExpr.__hash__
 
     def __post_init__(self):
         object.__setattr__(self, "left", as_expr(self.left))
@@ -226,19 +241,17 @@ class Sum(KnotExpr):
 
     def _node_facts(self) -> _Facts:
         a, b = self.left._facts, self.right._facts
-        return _Facts(
-            _short_hash(f"sum({a.fingerprint},{b.fingerprint})"),
-            f"({a.display} + {b.display})",
-            hash((a.hash, b.hash)),
-        )
+        fp = _short_hash(f"sum({a.fingerprint},{b.fingerprint})")
+        display = f"({a.display} + {b.display})"
+        if len(display) > 80:
+            display = f"sum(...)#{fp[:8]}"
+        return _Facts(fp, display, hash((a.hash, b.hash)))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False)
 class Infect(KnotExpr):
     template: Template
     inputs: tuple  # tuple[(site_name, KnotExpr), ...] in template site order
-
-    __hash__ = KnotExpr.__hash__
 
     def _node_facts(self) -> _Facts:
         tpl, facts = self.template, [(n, e._facts) for n, e in self.inputs]
@@ -771,6 +784,13 @@ def _expr_children(e) -> list:
     if isinstance(e, Sum):
         return [e.left, e.right]
     return [expr for _, expr in e.inputs] if isinstance(e, Infect) else []
+
+
+def _own_fields(e):
+    """The fields of a node other than its sub-expressions."""
+    if isinstance(e, Infect):
+        return e.template, [n for n, _ in e.inputs]
+    return getattr(e, "matrix", None)
 
 
 def _mult_children(e) -> list:

@@ -218,6 +218,30 @@ def eliminate(rows) -> tuple:
     return rank, det if rank == n else Fraction(0)
 
 
+def mat_mul(a, b) -> list:
+    """Product of two matrices given as row sequences."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+
+
+def charpoly_adj(a) -> tuple:
+    """(chi, adj) for a square rational matrix A by Faddeev-LeVerrier:
+    chi = det(xI - A) as an ascending Poly and adj(xI - A) = sum_k x^k adj[k].
+    Integer matrices stay integer: every division by k is exact."""
+    n = len(a)
+    chi = [Fraction(0)] * n + [Fraction(1)]
+    adj = [None] * n
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        adj[n - k] = m
+        am = mat_mul(a, m)
+        c = -Fraction(sum(am[i][i] for i in range(n)), k)
+        c = c.numerator if c.denominator == 1 else c
+        chi[n - k] = Fraction(c)
+        m = [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return tuple(chi), adj
+
+
 def _monomial(var: str, e: int) -> str:
     return "" if e == 0 else var if e == 1 else f"{var}^{e}"
 

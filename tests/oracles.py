@@ -16,6 +16,7 @@ from hashlib import sha256
 
 import numpy as np
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 
 def lt_signature_float(V, theta):
@@ -251,11 +252,26 @@ def fingerprint_tree(e):
 
 def display_tree(e):
     """Display of an expression: an infection longer than 80 characters
-    becomes NAME(...)#<first 8 hex digits of its fingerprint>."""
+    becomes NAME(...)#<first 8 hex digits of its fingerprint>, a sum
+    sum(...)#<the same>."""
     if hasattr(e, "matrix"):
         return e.matrix.name or f"K[{_sha12(repr(e.matrix.entries))}]"
     if hasattr(e, "left"):
-        return f"({display_tree(e.left)} + {display_tree(e.right)})"
+        s = f"({display_tree(e.left)} + {display_tree(e.right)})"
+        return s if len(s) <= 80 else f"sum(...)#{fingerprint_tree(e)[:8]}"
     name = e.template.name
     s = f"{name}({', '.join(f'{n}={display_tree(x)}' for n, x in e.inputs)})"
     return s if len(s) <= 80 else f"{name}(...)#{fingerprint_tree(e)[:8]}"
+
+
+def in_presentation_image(V, x):
+    """Whether x lies in the image of tV^T - V over Q[t, t^-1]: every entry of
+    (tV^T - V)^{-1} x has a power of t as its denominator.
+
+    x: vector of sympy expressions in t (or ints).  Solved over Q(t)."""
+    t = sympy.Symbol("t")
+    n = len(V)
+    M = sympy.Matrix(n, n, lambda i, j: t * sympy.Rational(V[j][i]) - sympy.Rational(V[i][j]))
+    A, b = DomainMatrix.from_Matrix(M).unify(DomainMatrix.from_Matrix(sympy.Matrix(x)))
+    z = A.to_field().lu_solve(b.to_field()).to_Matrix()
+    return all(len(sympy.Poly(sympy.fraction(e)[1], t).terms()) == 1 for e in z)

@@ -1,14 +1,20 @@
 """Rational Blanchfield pairing, Alexander modules, and the submodule
 lattice with isotropy/metabolizer classification."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from concord.blanchfield import (
     BlanchfieldValue,
     NotSquareFree,
+    Submodule,
     blanchfield_pair,
     class_in_quotient,
     cyclic_generator,
@@ -19,10 +25,11 @@ from concord.blanchfield import (
     submodule_lattice,
     submodule_spanned_by,
 )
-from concord.rings import LaurentPoly, poly_str
+from concord.rings import LaurentPoly, poly_degree, poly_str
 from concord.seifert import FIGURE_EIGHT, K9_46, TREFOIL, UNKNOT, SeifertMatrix, connected_sum
 
-from oracles import blanchfield_reduced
+from oracles import blanchfield_reduced, in_presentation_image
+from test_seifert import random_seifert
 
 E1 = (LaurentPoly.const(1), LaurentPoly.zero())
 E2 = (LaurentPoly.zero(), LaurentPoly.const(1))
@@ -146,6 +153,68 @@ def test_pair_accepts_matrix_or_module():
     a = blanchfield_pair(K9_46, E1, E2)
     b = blanchfield_pair(module_from_seifert(K9_46), E1, E2)
     assert a == b
+
+
+def test_pairing_convention_on_split_base():
+    # the pairing is well defined on the cokernel of B^T, membership is taken
+    # in the cokernel of B: B e1 is zero in the module, yet pairs
+    # nontrivially, while B^T e1 pairs to zero
+    V = SeifertMatrix(((5, 3), (2, 0)))
+    t = LaurentPoly.t()
+    b_e1 = (5 * t - 5, 3 * t - 2)  # first column of B = tV^T - V
+    bt_e1 = (5 * t - 5, 2 * t - 3)  # first row of B
+    assert blanchfield_pair(V, bt_e1, E1).is_zero
+    assert blanchfield_pair(V, bt_e1, E2).is_zero
+    assert str(blanchfield_pair(V, b_e1, E1)) == "-5/8 / (t - 3/2)"
+    assert Submodule(module_from_seifert(V), (Fraction(1),), E1).contains(b_e1)
+
+
+# ---------------------------------------------------------------------------
+# Singular Seifert matrices: deg Delta < 2g, so the module is smaller than Q^2g
+
+
+def _sympy_vector(xs):
+    import sympy
+
+    t = sympy.Symbol("t")
+    return [sum((sympy.Rational(c.numerator, c.denominator) * t**k for k, c in x.coeffs.items()),
+                sympy.Integer(0)) for x in xs]
+
+
+def _image_of_presentation(V, z):
+    """B z for B = tV^T - V."""
+    t, n = LaurentPoly.t(), V.size
+    return tuple(sum(((t * V[j, i] - V[i, j]) * z[j] for j in range(n)), LaurentPoly.zero())
+                 for i in range(n))
+
+
+def test_singular_seifert_matrices_against_sympy():
+    # quotas by (singular, genus); genus 3 is kept rare because the sympy
+    # pairing takes about 0.2 s there
+    quota = {(True, 1): 4, (True, 2): 4, (True, 3): 2,
+             (False, 1): 8, (False, 2): 10, (False, 3): 4}
+    rng = random.Random(2024)
+    modules = []
+    while any(quota.values()):
+        V = random_seifert(rng, rng.randint(1, 3), -1, 1)
+        m = module_from_seifert(V)
+        key = (poly_degree(m.order_poly) < V.size, V.genus)
+        if quota[key]:
+            quota[key] -= 1
+            modules.append(m)
+    for m in modules:
+        V, n = m.seifert, m.rank
+        # membership in the image of B: the zero submodule contains exactly it
+        zero = Submodule(m, (Fraction(1),), (LaurentPoly.zero(),) * n)
+        z, x, y = (rand_vector(rng, n) for _ in range(3))
+        bz = _image_of_presentation(V, z)
+        assert zero.contains(bz)
+        shifted = tuple(a + b for a, b in zip(bz, x))
+        assert zero.contains(shifted) == in_presentation_image(V.entries, _sympy_vector(shifted))
+        got = blanchfield_pair(m, x, y)
+        want = blanchfield_reduced(V.entries, _sympy_vector(x), _sympy_vector(y))
+        assert (got.num, got.den) == want, (V.entries, x, y)
+    assert len(modules) == 32
 
 
 # ---------------------------------------------------------------------------
@@ -289,3 +358,38 @@ def test_blanchfield_value_algebra():
     # Laurent-polynomial parts are killed in Q(t)/Q[t, 1/t]
     whole = BlanchfieldValue.from_fraction((Fraction(3),), (Fraction(1),))
     assert whole.is_zero
+
+
+# ---------------------------------------------------------------------------
+# Genus 6, in a subprocess with a timeout so that a slow module build fails
+# the test instead of stalling the suite
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GENUS_6_SCRIPT = """
+import json, random, time
+from concord.blanchfield import is_isotropic, module_from_seifert, submodule_lattice
+from concord.rings import poly_is_squarefree, poly_monic
+from concord.seifert import alexander_polynomial
+from test_seifert import random_seifert
+
+rng = random.Random(7)
+V = random_seifert(rng, 6)
+while not poly_is_squarefree(poly_monic(alexander_polynomial(V).to_dense()[0])):
+    V = random_seifert(rng, 6)
+start = time.perf_counter()
+m = module_from_seifert(V)
+isotropic = [is_isotropic(m, S) for S in submodule_lattice(m)]
+print(json.dumps({"seconds": time.perf_counter() - start, "isotropic": isotropic}))
+"""
+
+
+def test_genus_6_module_and_lattice_are_fast():
+    path = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", GENUS_6_SCRIPT], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["isotropic"] == [True, False]  # irreducible order: 0 and the whole module
+    assert out["seconds"] < 5

@@ -16,10 +16,12 @@ from concord.rings import (
     LaurentPoly,
     NonSymmetricInput,
     NotHermitian,
+    charpoly_adj,
     chebyshev_reduce,
     circle_value,
     eliminate,
     hermitian_signature,
+    mat_mul,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -407,6 +409,28 @@ def test_eliminate_edge_cases():
     rank, det = eliminate([[2, 1], [1, 1]])
     assert det == 1 and isinstance(det, Fraction)
     assert eliminate([[Fraction(1, 3)]]) == (1, Fraction(1, 3))
+
+
+def test_charpoly_adj_matches_sympy_random():
+    rng = random.Random(2025)
+    entries = [0, 0, 1, -1, 2, -3, Fraction(-3, 2), Fraction(5, 7)]
+    x = sympy.Symbol("x")
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        chi, adj = charpoly_adj(a)
+        S = _sympy_of(a)
+        assert chi == tuple(_fraction_of(c) for c in reversed(S.charpoly(x).all_coeffs()))
+        # adj(xI - A) = sum_k x^k adj[k], checked at one rational point
+        x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        want = (sympy.Rational(x0.numerator, x0.denominator) * sympy.eye(n) - S).adjugate()
+        got = [[sum(x0**k * adj[k][i][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert got == [[_fraction_of(want[i, j]) for j in range(n)] for i in range(n)]
+    # integer input stays integer; the empty matrix has chi = 1
+    chi, adj = charpoly_adj([[2, 1], [1, 1]])
+    assert chi == (1, -3, 1) and all(type(e) is int for m in adj for row in m for e in row)
+    assert charpoly_adj([]) == ((Fraction(1),), [])
+    assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
 
 
 # ---------------------------------------------------------------------------

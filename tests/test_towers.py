@@ -66,12 +66,13 @@ def test_mixed_inputs_and_sums_match_tree_walk():
         infect(FIG8_DOUBLING, {"a": J1, "b": iterate_operator(FIG8_DOUBLING, 3, unnamed)}),
         J2 + as_expr(TREFOIL),
         as_expr(TREFOIL) + unnamed,
-        Sum(J1, Sum(J1, J1)),  # sums are never shortened
+        Sum(J1, Sum(J1, J1)),  # shortened past 80 characters, as infections are
         infect(R946_DOUBLING, {"alpha": Sum(J2, J1), "beta": unnamed}),
     ]
     for e in exprs:
         _agrees_with_reference(e)
-    assert len(exprs[5].display()) > 80
+    assert exprs[5].display() == f"sum(...)#{exprs[5].fingerprint()[:8]}"
+    assert len(exprs[5].right.display()) <= 80 and "+" in exprs[5].right.display()
 
 
 def test_catalog_expressions_match_tree_walk():
@@ -108,6 +109,35 @@ def test_same_data_templates_differ_by_name():
         Ja, Jb = iterate_operator(a, n, TREFOIL), iterate_operator(b, n, TREFOIL)
         assert Ja.fingerprint() != Jb.fingerprint()
         assert rho0_atom(Ja) != rho0_atom(Jb)
+
+
+def test_doubled_sums_display_stays_short():
+    # s + s shares its summand, so the unshortened display doubles per step
+    s = as_expr(TREFOIL)
+    for _ in range(12):
+        s = s + s
+    assert len(s.display()) <= 80
+    assert s.display() == f"({s.left.display()} + {s.left.display()})"
+    _agrees_with_reference(s)
+
+
+def test_equality_agrees_with_field_equality():
+    # two separately built copies of each expression, plus near misses that
+    # differ in one field deep down; fingerprints tell the same apart
+    def build():
+        J1 = iterate_operator(R946_DOUBLING, 1, TT)
+        return [
+            J1, iterate_operator(R946_DOUBLING, 3, TT), iterate_operator(R946_DOUBLING, 3, TREFOIL),
+            iterate_operator(FIG8_DOUBLING, 3, TT), J1 + as_expr(TREFOIL), as_expr(TREFOIL) + J1,
+            infect(R946_DOUBLING, {"alpha": J1, "beta": TT}),
+            infect(R946_DOUBLING, {"alpha": TT, "beta": J1}),
+            Sum(J1, Sum(J1, J1)), as_expr(TREFOIL),
+        ]
+
+    for a in build():
+        for b in build():
+            same = fingerprint_tree(a) == fingerprint_tree(b)
+            assert (a == b) is same and (a != b) is not same
 
 
 # ---------------------------------------------------------------------------
@@ -168,3 +198,33 @@ def test_depth_500_tower_in_cli(argv, tmp_path):
     if argv[0] == "solvable":
         assert report["level"] == "500"
         assert report["rho0_multiplicity_bound"] == 2**500
+
+
+EQUAL_DEEP_SCRIPT = """
+from concord.infection import R946_DOUBLING, iterate_operator
+from concord.seifert import TREFOIL, connected_sum
+
+tt = connected_sum(TREFOIL, TREFOIL)
+A, B = (iterate_operator(R946_DOUBLING, 400, tt) for _ in range(2))
+C = iterate_operator(R946_DOUBLING, 400, TREFOIL)
+print(A == B, A != B, A == C, hash(A) == hash(B))
+"""
+
+
+def test_equal_deep_towers_compare_without_recursion(tmp_path):
+    proc = _python(["-c", EQUAL_DEEP_SCRIPT])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False", "False", "True"]
+    # the main theorem compares the two inputs of P
+    (tmp_path / "deep.cat").write_text(
+        "[knot tt]\n"
+        "matrix = [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]\n\n"
+        "[expr A]\niterate R946_op 400 tt\n\n"
+        "[expr B]\niterate R946_op 400 tt\n\n"
+        "[expr P]\ninfect R946_op alpha=A beta=B\n",
+        encoding="utf-8",
+    )
+    proc = _python(["-m", "concord", "obstruct", "P", "--theorem", "main", "--catalog", "deep.cat",
+                    "--format", "json"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["name"] == "P"
