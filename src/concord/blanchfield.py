@@ -261,9 +261,9 @@ def _vector(module_rank: int, x) -> tuple:
     return xs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _module_of(V: SeifertMatrix) -> AlexanderModule:
-    """module_from_seifert, cached by matrix content."""
+    """module_from_seifert, cached by matrix content (the 1024 most recent)."""
     delta = alexander_polynomial(V)
     dense, _ = delta.to_dense()
     order_poly = poly_monic(dense)

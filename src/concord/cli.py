@@ -14,7 +14,8 @@ Usage::
 Shared flags (after the subcommand): --catalog FILE (repeatable),
 --format {text,json}, --tol Q.  The default rho0 tolerance is 1e-9,
 overridable by the CONCORD_DEFAULT_TOL environment variable (an exact
-rational or decimal literal) and per invocation by --tol.
+rational or decimal literal) and per invocation by --tol.  A tolerance below
+the floor 1e-4000, at which every report still renders, exits 3 at once.
 
 Constants picked up from [assign] sections: C feeds the infinite-order
 check, Cprime the doubling-tower and torsion checks, and D (when rho1(9_46)
@@ -80,6 +81,8 @@ from .seifert import (
 )
 
 TOL_ENV_VAR = "CONCORD_DEFAULT_TOL"
+TOL_FLOOR = "1e-4000"  # the finest tolerance at which every report still renders
+_TOL_FLOOR = Fraction(TOL_FLOOR)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -95,6 +98,8 @@ def _parse_tol(text: str, origin: str) -> Fraction:
         raise ValidationError(origin, f"not a rational tolerance: {text!r}")
     if tol <= 0:
         raise ValidationError(origin, f"tolerance must be positive, got {text!r}")
+    if tol < _TOL_FLOOR:
+        raise ValidationError(origin, f"tolerance {text!r} is below the floor {TOL_FLOOR}")
     return tol
 
 

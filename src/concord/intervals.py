@@ -125,11 +125,16 @@ def simplest_rational(lo: RationalLike, hi: RationalLike) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_rational(-hi, -lo)
-    floor_lo = lo.numerator // lo.denominator
-    if lo == floor_lo or floor_lo + 1 <= hi:
-        return Fraction(floor_lo if lo == floor_lo else floor_lo + 1)
-    rest = simplest_rational(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / rest
+    # iterative: enclosures at 1e-4000 go thousands of terms deep; (h1, k1)
+    # and (h0, k0) are the last two convergents of the continued fraction
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        floor_lo = lo.numerator // lo.denominator
+        if lo == floor_lo or floor_lo + 1 <= hi:
+            a = floor_lo if lo == floor_lo else floor_lo + 1
+            return Fraction(a * h1 + h0, a * k1 + k0)
+        h0, h1, k0, k1 = h1, floor_lo * h1 + h0, k1, floor_lo * k1 + k0
+        lo, hi = 1 / (hi - floor_lo), 1 / (lo - floor_lo)
 
 
 def sqrt_interval(q: RationalLike, bits: int = 64) -> RatInterval:
@@ -189,7 +194,7 @@ def atan_interval(y, bits: int = 64) -> RatInterval:
     return RatInterval(end[y.lo].lo, end[y.hi].hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # per precision, the 1024 most recent
 def pi_interval(bits: int = 64) -> RatInterval:
     """Machin's formula: pi = 16 arctan(1/5) - 4 arctan(1/239)."""
     a = _atan_sqrt(Fraction(1, 5**2), bits + 5)

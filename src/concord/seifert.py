@@ -126,7 +126,7 @@ K9_46 = SeifertMatrix(((0, 2), (1, 0)), name="9_46", slice_hint=True)
 # Alexander polynomial and Arf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # by matrix content, the 1024 most recent
 def _alexander(V: SeifertMatrix) -> LaurentPoly:
     n, g = V.size, V.genus
     if n == 0:
@@ -241,7 +241,7 @@ def _sample_param(a: Fraction, b: Fraction) -> Fraction:
         bits *= 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # by matrix content, the 1024 most recent
 def signature_profile(V: SeifertMatrix) -> SignatureProfile:
     """Compute the full exact signature profile of a Seifert matrix."""
     delta = _alexander(V)

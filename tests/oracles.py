@@ -275,3 +275,39 @@ def in_presentation_image(V, x):
     A, b = DomainMatrix.from_Matrix(M).unify(DomainMatrix.from_Matrix(sympy.Matrix(x)))
     z = A.to_field().lu_solve(b.to_field()).to_Matrix()
     return all(len(sympy.Poly(sympy.fraction(e)[1], t).terms()) == 1 for e in z)
+
+
+_T = sympy.Symbol("t")
+
+
+def factor_list_q(coeffs):
+    """Monic irreducible factors over Q with multiplicities, by sympy's
+    factor_list: ((ascending Fraction tuple, multiplicity), ...) sorted by
+    (degree, coefficients), the unit dropped."""
+    p = sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], _T, domain="QQ")
+    out = []
+    for fac, mult in p.factor_list()[1]:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(fac, _T).all_coeffs())]
+        out.append((tuple(c / cs[-1] for c in cs), int(mult)))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return tuple(out)
+
+
+def fox_milnor_sympy(V):
+    """Whether det(V - t V^T) is f(t) f(1/t) up to a unit and a power of t:
+    the determinant over Q[t] and its factorization both by sympy, the
+    factor multiset checked for closure under the monic reciprocal."""
+    n = len(V)
+    if n == 0:
+        return True
+    M = sympy.Matrix(n, n, lambda i, j: sympy.Rational(V[i][j]) - _T * sympy.Rational(V[j][i]))
+    det = sympy.Poly(DomainMatrix.from_Matrix(M).convert_to(sympy.QQ[_T]).det().as_expr(), _T)
+    mults = {}
+    for fac, m in det.factor_list()[1]:
+        if fac.degree() > 0 and fac != sympy.Poly(_T, _T):
+            mults[sympy.Poly(fac.monic(), _T)] = m
+    for q, m in mults.items():
+        rev = sympy.Poly(list(reversed(q.all_coeffs())), _T).monic()
+        if mults.get(rev) != m or (rev == q and m % 2):
+            return False
+    return True

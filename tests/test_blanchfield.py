@@ -25,8 +25,18 @@ from concord.blanchfield import (
     submodule_lattice,
     submodule_spanned_by,
 )
+from concord.intervals import pi_interval
 from concord.rings import LaurentPoly, poly_degree, poly_str
-from concord.seifert import FIGURE_EIGHT, K9_46, TREFOIL, UNKNOT, SeifertMatrix, connected_sum
+from concord.seifert import (
+    FIGURE_EIGHT,
+    K9_46,
+    TREFOIL,
+    UNKNOT,
+    SeifertMatrix,
+    _alexander,
+    connected_sum,
+    signature_profile,
+)
 
 from oracles import blanchfield_reduced, in_presentation_image
 from test_seifert import random_seifert
@@ -393,3 +403,20 @@ def test_genus_6_module_and_lattice_are_fast():
     out = json.loads(proc.stdout)
     assert out["isotropic"] == [True, False]  # irreducible order: 0 and the whole module
     assert out["seconds"] < 5
+
+
+def test_content_caches_are_bounded():
+    """The content-keyed caches keep a fixed number of entries, however many
+    distinct matrices a batch brings."""
+    for c in range(1500):  # distinct matrices, all with Delta = 1, so cheap
+        V = SeifertMatrix(((0, 1), (0, c)))
+        module_from_seifert(V)
+        signature_profile(V)
+    for bits in range(1, 1100):
+        pi_interval(bits)
+    for cached in (module_from_seifert, _alexander, signature_profile, pi_interval):
+        info = cached.cache_info()
+        assert info.maxsize == 1024
+        assert info.currsize <= info.maxsize
+    assert module_from_seifert.cache_info().misses >= 1500
+    assert str(module_from_seifert(TREFOIL)).startswith("AlexanderModule(trefoil, ")

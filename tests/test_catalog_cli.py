@@ -1,7 +1,12 @@
 """Catalog file parsing and the batch command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -514,3 +519,27 @@ def test_tolerance_env_var(capsys, monkeypatch):
     monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
     rc, out = run_cli(capsys, "rho0", "trefoil")
     assert rc == EXIT_VALIDATION
+
+
+def test_tolerance_floor_is_checked_before_computing():
+    """Below the floor 1e-4000 the CLI exits 3 at once, naming the floor, for
+    --tol and CONCORD_DEFAULT_TOL alike; at the floor rho0 renders (exit 0)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    env.pop(TOL_ENV_VAR, None)
+
+    def concord(*args, **extra_env):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "concord", *args], capture_output=True,
+                              text=True, timeout=60, env=dict(env, **extra_env))
+        return proc, time.perf_counter() - start
+
+    for proc, seconds in (concord("rho0", "trefoil", "--tol", "1e-5000"),
+                          concord("rho0", "trefoil", **{TOL_ENV_VAR: "1e-4001"})):
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "below the floor 1e-4000" in proc.stderr
+        assert seconds < 2
+    proc, _ = concord("rho0", "trefoil", "--tol", "1e-4000")
+    assert proc.returncode == 0, proc.stderr
+    assert f"tolerance: 1/1{'0' * 4000}\n" in proc.stdout
